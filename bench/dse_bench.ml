@@ -1,19 +1,20 @@
 (* DSE benchmark: cold / warm / parallel timing of the per-node
-   design-space exploration with the memoized QoR cache.
+   design-space exploration.
 
    For every workload the pipeline is run up to (but excluding) the
    parallelization pass on freshly built IR; the timed section is then
    exactly [Parallelize.run] (per-node DSE) followed by
    [Qor.estimate_func]:
 
-     cold      jobs=1, process-wide cache cleared first
-     warm      jobs=1, cache still populated by the cold run, on a
-               freshly rebuilt (byte-identical) IR — hits skip whole
-               searches and node estimates
-     parallel  jobs=N (N = recommended domain count), cache cleared
+     cold      jobs=1, no QoR store
+     warm      jobs=1, one QoR store populated before the first rep and
+               reused across reps, on a freshly rebuilt
+               (byte-identical) IR: hits skip whole searches and node
+               estimates
+     parallel  jobs=N (N = recommended domain count), no QoR store
 
    Results are written to BENCH_dse.json (per-workload milliseconds,
-   speedups, warm-run cache counters, geomeans over the set). *)
+   speedups, warm-run store counters, geomeans over the set). *)
 
 open Hida_ir
 open Hida_estimator
@@ -67,9 +68,10 @@ let device_of = function `Memref -> Device.zu3eg | `Nn -> Device.vu9p_slr
    is about; the compile benches cover the pf=32 default. *)
 let max_pf = 256
 
-let dse_once ~jobs device f =
-  ignore (Parallelize.run ~jobs ~max_parallel_factor:max_pf f);
-  ignore (Qor.estimate_func device f)
+let dse_once ?store ~jobs device f =
+  ignore (Parallelize.run ~jobs ?store ~max_parallel_factor:max_pf f);
+  ignore
+    (Qor.estimate_func ?memo:(Option.map Qor_cache.node_memo store) device f)
 
 let time_ms f =
   let t0 = Unix.gettimeofday () in
@@ -93,34 +95,30 @@ type row = {
 }
 
 let bench_workload ~reps ~par_jobs spec =
-  let cache = Qor_cache.global () in
   let device = device_of spec.w_path in
-  (* Cold: cleared cache, sequential. *)
+  (* Cold: no store, sequential. *)
   let cold_ms =
     min_over reps (fun () ->
         let f = prep spec in
-        Qor_cache.clear cache;
         time_ms (fun () -> dse_once ~jobs:1 device f))
   in
-  (* Populate once more so every warm rep starts fully cached. *)
-  (let f = prep spec in
-   Qor_cache.clear cache;
-   dse_once ~jobs:1 device f);
-  let h0, m0 = Qor_cache.counters cache in
+  (* Populate one store so every warm rep starts fully cached. *)
+  let store = Blob_store.create () in
+  dse_once ~store ~jobs:1 device (prep spec);
+  let s0 = Blob_store.stats store in
   let warm_ms =
     min_over reps (fun () ->
         let f = prep spec in
-        time_ms (fun () -> dse_once ~jobs:1 device f))
+        time_ms (fun () -> dse_once ~store ~jobs:1 device f))
   in
-  let h1, m1 = Qor_cache.counters cache in
-  (* Parallel: cleared cache, the shared work-stealing pool.  Pool
-     counters are process-cumulative, so record the delta over the
-     parallel reps (per-rep average, like the cache counters). *)
+  let s1 = Blob_store.stats store in
+  (* Parallel: no store, the shared work-stealing pool.  Pool counters
+     are process-cumulative, so record the delta over the parallel reps
+     (per-rep average, like the store counters). *)
   let p0 = Domain_pool.stats () in
   let parallel_ms =
     min_over reps (fun () ->
         let f = prep spec in
-        Qor_cache.clear cache;
         time_ms (fun () -> dse_once ~jobs:par_jobs device f))
   in
   let p1 = Domain_pool.stats () in
@@ -130,8 +128,8 @@ let bench_workload ~reps ~par_jobs spec =
     b_cold_ms = cold_ms;
     b_warm_ms = warm_ms;
     b_parallel_ms = parallel_ms;
-    b_hits = (h1 - h0) / reps;
-    b_misses = (m1 - m0) / reps;
+    b_hits = (s1.Blob_store.s_hits - s0.Blob_store.s_hits) / reps;
+    b_misses = (s1.Blob_store.s_misses - s0.Blob_store.s_misses) / reps;
     b_pool_tasks = (p1.Domain_pool.st_tasks - p0.Domain_pool.st_tasks) / reps;
     b_pool_steals =
       (p1.Domain_pool.st_steals - p0.Domain_pool.st_steals) / reps;
@@ -190,7 +188,6 @@ let run ?(smoke = false) ?(quick = false) () =
       @ List.map (fun n -> nn_spec (Models.by_name n))
           [ "lenet"; "mobilenet"; "resnet18" ]
   in
-  Qor_cache.install (Qor_cache.global ());
   Printf.printf "%-14s %-7s %10s %10s %10s %7s %7s\n" "workload" "path"
     "cold ms" "warm ms" "par ms" "warm x" "par x";
   let rows =
@@ -205,12 +202,9 @@ let run ?(smoke = false) ?(quick = false) () =
       specs
   in
   let json = json_of_rows ~par_jobs ~reps rows in
-  let oc = open_out "BENCH_dse.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf
-    "\ngeomeans: warm %.2fx, parallel(%d jobs) %.2fx — written to \
-     BENCH_dse.json\n"
+  let path = Util.write_bench_json ~smoke "BENCH_dse.json" json in
+  Printf.printf "\ngeomeans: warm %.2fx, parallel(%d jobs) %.2fx — written to %s\n"
     (Util.geomean (List.map (fun r -> r.b_cold_ms /. r.b_warm_ms) rows))
     par_jobs
     (Util.geomean (List.map (fun r -> r.b_cold_ms /. r.b_parallel_ms) rows))
+    path

@@ -3,13 +3,12 @@
 
    Scenarios (full-scale resnet18, end-to-end [Driver] pipeline):
 
-     cold         no backing store (the in-process memo still runs, as
-                  in any single compile)
-     incremental  backing store populated by compiling the ORIGINAL
+     cold         no QoR store (nothing is memoized)
+     incremental  QoR store populated by compiling the ORIGINAL
                   model; the timed run compiles an EDITED model (one
                   nn.relu removed) — every unchanged subtree reuses its
                   fused/balanced/DSE'd result via content hashes
-     identical    backing store populated by the same model; the timed
+     identical    QoR store populated by the same model; the timed
                   run recompiles it unchanged (schedule replays +
                   whole-design estimate hit)
 
@@ -44,20 +43,26 @@ let edit_one_layer f =
         (Op.results relu);
       erase_op relu
 
-let compile_once ~opts ~edit name =
+let compile_once ?store ~opts ~edit name =
   let _m, f = (Models.by_name name).Models.e_build () in
   if edit then edit_one_layer f;
-  let st = Driver.compile_nn ~opts f in
+  let st = Driver.compile_nn ~opts ?store f in
   let rep = Driver.finish ~device:Device.vu9p_slr st f in
   (rep, Printer.op_to_string rep.Driver.design)
 
+(* A fresh store holding only the original model's entries. *)
+let populated_store ~opts name =
+  let store = Blob_store.create () in
+  ignore (compile_once ~store ~opts ~edit:false name);
+  store
+
 (* min-of-n wall time, keeping the fastest rep's report and printed IR;
-   [prep] re-establishes the cache scenario before every rep. *)
+   [prep] returns the store scenario of every rep. *)
 let best ~prep ~opts ~edit n name =
   let out = ref None in
   for _ = 1 to n do
-    prep ();
-    let rep, ir = compile_once ~opts ~edit name in
+    let store = prep () in
+    let rep, ir = compile_once ?store ~opts ~edit name in
     match !out with
     | Some (r, _) when r.Driver.compile_seconds <= rep.Driver.compile_seconds
       ->
@@ -76,40 +81,28 @@ type row = {
 }
 
 let bench_effort ~reps ~pf name =
-  let g = Qor_cache.global () in
   let opts = opts_of_pf pf in
-  let cold_prep () =
-    Qor_cache.set_backing g None;
-    Qor_cache.clear g
-  in
-  let rc, ir_cold = best ~prep:cold_prep ~opts ~edit:true reps name in
+  let rc, ir_cold = best ~prep:(fun () -> None) ~opts ~edit:true reps name in
   (* Each incremental rep must see a store holding ONLY original-model
      entries: rebuild and repopulate it from scratch every time. *)
-  let incr_prep () =
-    Qor_cache.set_backing g (Some (Blob_store.create ()));
-    Qor_cache.clear g;
-    ignore (compile_once ~opts ~edit:false name);
-    Qor_cache.clear g
-  in
-  incr_prep ();
-  let h0, m0 = Qor_cache.subtree_counters g in
-  ignore (compile_once ~opts ~edit:true name);
-  let h1, m1 = Qor_cache.subtree_counters g in
+  let incr_prep () = Some (populated_store ~opts name) in
   let ri, ir_incr = best ~prep:incr_prep ~opts ~edit:true reps name in
-  let ident_prep () = Qor_cache.clear g in
-  let rii, _ = best ~prep:ident_prep ~opts ~edit:false reps name in
+  let counter = Hida_obs.Metrics.counter ri.Driver.metrics in
+  let ident_store = populated_store ~opts name in
+  let rii, _ =
+    best ~prep:(fun () -> Some ident_store) ~opts ~edit:false reps name
+  in
   if ir_incr <> ir_cold then
     failwith
       (Printf.sprintf
          "incr bench: incremental %s output differs from cold compile" name);
-  Qor_cache.set_backing g None;
   ( {
       r_pf = pf;
       r_cold_ms = 1000. *. rc.Driver.compile_seconds;
       r_incr_ms = 1000. *. ri.Driver.compile_seconds;
       r_ident_ms = 1000. *. rii.Driver.compile_seconds;
-      r_hits = h1 - h0;
-      r_misses = m1 - m0;
+      r_hits = counter "incr.subtree.hits";
+      r_misses = counter "incr.subtree.misses";
     },
     ir_cold )
 
@@ -117,29 +110,20 @@ let bench_effort ~reps ~pf name =
    the store probes happen at points deterministic in the input, so the
    design must not depend on [jobs]. *)
 let jobs_identity ~ir_cold name =
-  let g = Qor_cache.global () in
   List.map
     (fun jobs ->
-      Qor_cache.set_backing g (Some (Blob_store.create ()));
-      Qor_cache.clear g;
-      ignore
-        (compile_once ~opts:(opts_of_pf thorough_pf) ~edit:false name);
-      Qor_cache.clear g;
+      let store = populated_store ~opts:(opts_of_pf thorough_pf) name in
       let _, ir =
-        compile_once
+        compile_once ~store
           ~opts:{ (opts_of_pf thorough_pf) with Driver.jobs }
           ~edit:true name
       in
-      Qor_cache.set_backing g None;
       (jobs, ir = ir_cold))
     [ 1; 4 ]
 
 (* Within-compile structure sharing: isomorphic nodes lowered once and
    stamped ([incr.subtree.stamped] from a plain cold compile). *)
 let dedup_count name =
-  let g = Qor_cache.global () in
-  Qor_cache.set_backing g None;
-  Qor_cache.clear g;
   let rep, _ = compile_once ~opts:Driver.default ~edit:false name in
   Hida_obs.Metrics.counter rep.Driver.metrics "incr.subtree.stamped"
 
@@ -150,7 +134,6 @@ let run ?(smoke = false) ?(quick = false) () =
      else "Incremental recompilation: cold vs subtree-store reuse");
   let reps = if smoke then 2 else 5 in
   let name = "resnet18" in
-  Qor_cache.install (Qor_cache.global ());
   Printf.printf "%-10s %10s %10s %10s %8s %8s\n" "effort" "cold ms" "incr ms"
     "ident ms" "incr x" "ident x";
   let rows_irs =
@@ -218,12 +201,8 @@ let run ?(smoke = false) ?(quick = false) () =
        (String.concat ", "
           (List.map (fun (n, c) -> Printf.sprintf "%S: %d" n c) dedups)));
   Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_incr.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf
-    "\nincremental %.2fx, identical %.2fx (pf=%d) — written to \
-     BENCH_incr.json\n"
+  let path = Util.write_bench_json ~smoke "BENCH_incr.json" (Buffer.contents buf) in
+  Printf.printf "\nincremental %.2fx, identical %.2fx (pf=%d) — written to %s\n"
     (headline.r_cold_ms /. headline.r_incr_ms)
     (headline.r_cold_ms /. headline.r_ident_ms)
-    headline.r_pf
+    headline.r_pf path

@@ -3,18 +3,15 @@
    For each workload of the nn zoo the pipeline runs up to (but
    excluding) the parallelization pass on freshly built IR; the
    per-node DSE then runs under an observation scope at jobs = 1, 2
-   and 4 on a cleared cache, and the profiling layer's counters
+   and 4 with no QoR store, and the profiling layer's counters
    decompose the wall time into named buckets:
 
-     qor_cache_lock_wait_ms   time worker domains spent blocked on the
-                              memo cache's table mutex
      level_barrier_wait_ms    time pool slots sat at the end-of-level
                               barrier after running out of tasks
      candidate_eval_work_ms   aggregate candidate-evaluation (cost
                               scoring) time, a subset of node search
      node_search_work_ms      aggregate per-node search time across all
-                              slots (includes candidate eval and any
-                              lock waits inside the search)
+                              slots (includes candidate eval)
      other_ms                 jobs * wall - node search - barrier wait:
                               domain spawn/join overhead, the serial
                               prepare/merge phases and pool idle time
@@ -24,7 +21,6 @@
    parallel-speedup numbers of BENCH_dse.json. *)
 
 open Hida_ir
-open Hida_estimator
 open Hida_core
 open Hida_frontend
 
@@ -67,9 +63,6 @@ let max_pf = 256
 type run_row = {
   p_jobs : int;
   p_wall_ms : float;
-  p_lock_wait_ms : float;
-  p_lock_acquires : int;
-  p_lock_blocked : int;
   p_barrier_wait_ms : float;
   p_candidate_eval_ms : float;
   p_node_search_ms : float;
@@ -77,8 +70,6 @@ type run_row = {
   p_eval_p50_ns : int;
   p_eval_p99_ns : int;
   p_eval_count : int;
-  p_hits : int;
-  p_misses : int;
   p_utilization : float; (* busy / (wall * slots) over parallel levels *)
   p_pool_tasks : int;
   p_pool_steals : int;
@@ -87,15 +78,7 @@ type run_row = {
 let ms_of_ns ns = float_of_int ns /. 1e6
 
 let profile_run ~jobs spec =
-  let cache = Qor_cache.global () in
   let f = prep spec in
-  (* Start every measured run from a clean slate: [clear] drops the memo
-     tables and counters, and [reset_stats] detaches the per-domain DLS
-     contention records.  The pool's worker domains persist across runs,
-     so without the explicit reset their DLS records would carry lock
-     counts from the previous workload/jobs sweep into this row. *)
-  Qor_cache.clear cache;
-  Qor_cache.reset_stats cache;
   let pool0 = Domain_pool.stats () in
   let scope = Hida_obs.Scope.create () in
   let t0 = Unix.gettimeofday () in
@@ -104,8 +87,6 @@ let profile_run ~jobs spec =
   let wall_ms = 1000. *. (Unix.gettimeofday () -. t0) in
   let m = Hida_obs.Scope.metrics scope in
   let c name = Hida_obs.Metrics.counter m name in
-  let cont = Qor_cache.contention cache in
-  let hits, misses = Qor_cache.counters cache in
   let node_search_ms = ms_of_ns (c "dse.node_search_total_ns") in
   let barrier_ms = ms_of_ns (c "dse.barrier_wait_total_ns") in
   let eval_p50, eval_p99, eval_count =
@@ -122,9 +103,6 @@ let profile_run ~jobs spec =
   {
     p_jobs = jobs;
     p_wall_ms = wall_ms;
-    p_lock_wait_ms = ms_of_ns cont.Qor_cache.lc_wait_ns;
-    p_lock_acquires = cont.Qor_cache.lc_acquires;
-    p_lock_blocked = cont.Qor_cache.lc_blocked;
     p_barrier_wait_ms = barrier_ms;
     p_candidate_eval_ms = ms_of_ns (c "dse.candidate_eval_total_ns");
     p_node_search_ms = node_search_ms;
@@ -134,8 +112,6 @@ let profile_run ~jobs spec =
     p_eval_p50_ns = eval_p50;
     p_eval_p99_ns = eval_p99;
     p_eval_count = eval_count;
-    p_hits = hits;
-    p_misses = misses;
     p_utilization =
       (if slot_ns > 0 then float_of_int busy /. float_of_int slot_ns else 1.);
     p_pool_tasks = pool1.Domain_pool.st_tasks - pool0.Domain_pool.st_tasks;
@@ -160,19 +136,15 @@ let json_of ~jobs_swept rows_by_workload =
           Buffer.add_string buf
             (Printf.sprintf
                "      {\"jobs\": %d, \"wall_ms\": %.3f, \
-                \"qor_cache_lock_wait_ms\": %.3f, \"lock_acquires\": %d, \
-                \"lock_blocked\": %d, \"level_barrier_wait_ms\": %.3f, \
+                \"level_barrier_wait_ms\": %.3f, \
                 \"candidate_eval_work_ms\": %.3f, \"node_search_work_ms\": \
                 %.3f, \"other_ms\": %.3f, \"candidate_eval_p50_ns\": %d, \
                 \"candidate_eval_p99_ns\": %d, \"candidate_evals\": %d, \
-                \"cache_hits\": %d, \"cache_misses\": %d, \
                 \"pool_utilization\": %.3f, \"pool_tasks\": %d, \
                 \"pool_steals\": %d}%s\n"
-               r.p_jobs r.p_wall_ms r.p_lock_wait_ms r.p_lock_acquires
-               r.p_lock_blocked r.p_barrier_wait_ms r.p_candidate_eval_ms
+               r.p_jobs r.p_wall_ms r.p_barrier_wait_ms r.p_candidate_eval_ms
                r.p_node_search_ms r.p_other_ms r.p_eval_p50_ns r.p_eval_p99_ns
-               r.p_eval_count r.p_hits r.p_misses r.p_utilization
-               r.p_pool_tasks r.p_pool_steals
+               r.p_eval_count r.p_utilization r.p_pool_tasks r.p_pool_steals
                (if j = List.length rows - 1 then "" else ",")))
         rows;
       Buffer.add_string buf
@@ -195,9 +167,8 @@ let run ?(smoke = false) ?quick () =
       List.map (fun n -> nn_spec (Models.by_name n))
         [ "lenet"; "mobilenet"; "resnet18" ]
   in
-  Qor_cache.install (Qor_cache.global ());
-  Printf.printf "%-12s %5s %9s %10s %12s %10s %10s %8s\n" "workload" "jobs"
-    "wall ms" "lock ms" "barrier ms" "search ms" "other ms" "util";
+  Printf.printf "%-12s %5s %9s %12s %10s %10s %8s\n" "workload" "jobs"
+    "wall ms" "barrier ms" "search ms" "other ms" "util";
   let rows_by_workload =
     List.map
       (fun spec ->
@@ -205,9 +176,8 @@ let run ?(smoke = false) ?quick () =
           List.map
             (fun jobs ->
               let r = profile_run ~jobs spec in
-              Printf.printf "%-12s %5d %9.2f %10.3f %12.2f %10.2f %10.2f %7.1f%%\n"
-                spec.w_name r.p_jobs r.p_wall_ms r.p_lock_wait_ms
-                r.p_barrier_wait_ms r.p_node_search_ms r.p_other_ms
+              Printf.printf "%-12s %5d %9.2f %12.2f %10.2f %10.2f %7.1f%%\n"
+                spec.w_name r.p_jobs r.p_wall_ms r.p_barrier_wait_ms r.p_node_search_ms r.p_other_ms
                 (100. *. r.p_utilization);
               r)
             jobs_swept
@@ -216,7 +186,5 @@ let run ?(smoke = false) ?quick () =
       specs
   in
   let json = json_of ~jobs_swept rows_by_workload in
-  let oc = open_out "BENCH_profile.json" in
-  output_string oc json;
-  close_out oc;
-  print_endline "\nwritten to BENCH_profile.json"
+  let path = Util.write_bench_json ~smoke "BENCH_profile.json" json in
+  print_endline ("\nwritten to " ^ path)

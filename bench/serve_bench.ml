@@ -192,13 +192,12 @@ let run ?(smoke = false) ?(quick = false) () =
           specs
       in
       let json = json_of_rows ~workers ~clients rows in
-      let oc = open_out "BENCH_serve.json" in
-      output_string oc json;
-      close_out oc;
+      let path = Util.write_bench_json ~smoke "BENCH_serve.json" json in
       let speedups = List.map (fun r -> r.b_cold_ms /. r.b_warm_ms) rows in
       Printf.printf
         "\nwarm-hit speedup: geomean %.0fx, min %.0fx; artifacts byte-identical \
-         to local compiles: %b — written to BENCH_serve.json\n"
+         to local compiles: %b — written to %s\n"
         (Util.geomean speedups)
         (List.fold_left min infinity speedups)
-        (List.for_all (fun r -> r.b_identical) rows))
+        (List.for_all (fun r -> r.b_identical) rows)
+        path)

@@ -266,10 +266,7 @@ let run ?(smoke = false) ?(quick = false) () =
     replica_rows;
   Buffer.add_string buf "  ]\n";
   Buffer.add_string buf "}\n";
-  let oc = open_out "BENCH_sim.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  let path = Util.write_bench_json ~smoke "BENCH_sim.json" (Buffer.contents buf) in
   Printf.printf
-    "\ncompiled-step %.2fx geomean (%d frames, %d workloads) — written to \
-     BENCH_sim.json\n"
-    geo_all frames (List.length rows)
+    "\ncompiled-step %.2fx geomean (%d frames, %d workloads) — written to %s\n"
+    geo_all frames (List.length rows) path

@@ -109,3 +109,24 @@ let host_provenance_json () =
   Printf.sprintf "\"host\": {\"domains\": %d, \"ocaml\": %S}"
     (Domain.recommended_domain_count ())
     Sys.ocaml_version
+
+(* ---- Result files ----
+
+   Full runs write the committed trajectory file [name] at the
+   repository root; smoke runs write under _build/bench-smoke/ so a
+   shape check never overwrites the trajectory.  Returns the path. *)
+
+let write_bench_json ~smoke name contents =
+  let path =
+    if smoke then begin
+      List.iter
+        (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+        [ "_build"; Filename.concat "_build" "bench-smoke" ];
+      Filename.concat (Filename.concat "_build" "bench-smoke") name
+    end
+    else name
+  in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  path

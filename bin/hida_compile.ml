@@ -323,16 +323,15 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
          ignoring --connect and compiling locally";
       fallback_reason := Some "the requested flags need an in-process compile"
   | None -> ());
-  (* --incr-cache: persistent subtree/artifact store.  Loaded before the
-     compile and attached behind the global QoR cache, so every subtree
-     whose content hash is unchanged since the last run replays its DSE
-     plan, candidate costs and node estimates instead of recomputing
-     them; saved (atomically) after the compile. *)
-  let incr_store =
-    match incr_cache with
-    | None -> None
-    | Some dir ->
-        let store = Blob_store.shared () in
+  (* --incr-cache: the QoR store, loaded before the compile and handed
+     to the driver, so every subtree whose content hash is unchanged
+     since the last run replays its fusion decisions, DSE plan and
+     estimates instead of recomputing them; saved (atomically) after
+     the compile.  Without it the compile memoizes nothing. *)
+  let store =
+    Option.map
+      (fun dir ->
+        let store = Blob_store.create () in
         (match Blob_store.load store ~dir with
         | Ok n ->
             if n > 0 then
@@ -340,8 +339,8 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
                 dir
         | Error e ->
             Printf.eprintf "hida-compile: incr cache: %s (starting cold)\n%!" e);
-        Qor_cache.set_backing (Qor_cache.global ()) (Some store);
-        Some (store, dir)
+        store)
+      incr_cache
   in
   let opts =
     {
@@ -364,20 +363,16 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
     | None -> build_workload workload
   in
   let report =
-    if fit then Driver.fit ~opts ~device ~path build
-    else
-      let _m, f = build () in
-      match path with
-      | `Nn -> Driver.run_nn ~opts ~device f
-      | `Memref -> Driver.run_memref ~opts ~device f
+    if fit then Driver.fit ~opts ?store ~device ~path build
+    else Driver.run ~opts ?store ~device ~path (snd (build ()))
   in
-  (match incr_store with
-  | None -> ()
-  | Some (store, dir) -> (
+  (match (store, incr_cache) with
+  | Some store, Some dir -> (
       match Blob_store.save store ~dir with
       | Ok n -> Printf.printf "incr cache      : %d entries saved to %s\n" n dir
       | Error e ->
-          Printf.eprintf "hida-compile: incr cache: cannot save: %s\n%!" e));
+          Printf.eprintf "hida-compile: incr cache: cannot save: %s\n%!" e)
+  | _ -> ());
   (* A --connect downgrade is an explicit Analysis remark on the local
      report, not a silent substitution. *)
   let report =
@@ -466,22 +461,12 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
          simulate_design ~device ~frames:sim_frames report.Driver.design));
   (let m = report.Driver.metrics in
    let c name = Hida_obs.Metrics.counter m name in
-   let cache = Qor_cache.global () in
    if profile then begin
      let pp = Hida_obs.Histogram.pp_ns in
      print_endline "---- profile ----";
      Printf.printf "  %-22s %d\n" "jobs" jobs;
-     Printf.printf "  %-22s %d hits, %d misses\n" "qor cache"
-       (c "qor.cache.hits") (c "qor.cache.misses");
-     let acq = c "qor.cache.lock_acquires"
-     and blk = c "qor.cache.lock_blocked"
-     and wait = c "qor.cache.lock_wait_ns" in
-     Printf.printf "  %-22s %d acquires, %d blocked (%.2f%%), %s total wait\n"
-       "cache lock" acq blk
-       (if acq = 0 then 0. else 100. *. float_of_int blk /. float_of_int acq)
-       (pp wait);
-     Printf.printf "  %-22s %s\n" "lock wait"
-       (Hida_obs.Histogram.to_string (Qor_cache.wait_histogram cache));
+     Printf.printf "  %-22s %d hits, %d misses\n" "subtree store"
+       (c "incr.subtree.hits") (c "incr.subtree.misses");
      let busy = c "parallelize.pool.busy_ns"
      and slot_ns = c "parallelize.pool.slots_ns" in
      if slot_ns > 0 then
@@ -511,49 +496,16 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
          ("node search", "dse.node_search_ns");
          ("barrier wait dist", "dse.barrier_wait_ns");
          ("sim frame step", "sim.frame_step_ns");
-       ];
-     match Qor_cache.per_domain cache with
-     | [] -> ()
-     | domains ->
-         print_endline "  per-domain cache activity:";
-         Printf.printf "    %-8s %10s %10s %10s %10s %12s\n" "domain" "hits"
-           "misses" "acquires" "blocked" "wait";
-         List.iter
-           (fun (d : Qor_cache.domain_stats) ->
-             Printf.printf "    %-8d %10d %10d %10d %10d %12s\n"
-               d.Qor_cache.ds_domain d.Qor_cache.ds_hits d.Qor_cache.ds_misses
-               d.Qor_cache.ds_acquires d.Qor_cache.ds_blocked
-               (pp d.Qor_cache.ds_wait_ns))
-           domains
+       ]
    end;
    match metrics_json with
    | None -> ()
    | Some path ->
-       let wait_h = Qor_cache.wait_histogram cache in
-       let domains =
-         String.concat ","
-           (List.map
-              (fun (d : Qor_cache.domain_stats) ->
-                Printf.sprintf
-                  "{\"domain\":%d,\"hits\":%d,\"misses\":%d,\"acquires\":%d,\"blocked\":%d,\"wait_ns\":%d}"
-                  d.Qor_cache.ds_domain d.Qor_cache.ds_hits
-                  d.Qor_cache.ds_misses d.Qor_cache.ds_acquires
-                  d.Qor_cache.ds_blocked d.Qor_cache.ds_wait_ns)
-              (Qor_cache.per_domain cache))
-       in
        let json =
-         Printf.sprintf
-           "{\"workload\":\"%s\",\"jobs\":%d,\"metrics\":%s,\"qor_cache\":{\"hits\":%d,\"misses\":%d,\"lock_acquires\":%d,\"lock_blocked\":%d,\"lock_wait_ns\":%d,\"lock_wait_p50_ns\":%d,\"lock_wait_p99_ns\":%d,\"domains\":[%s]}}\n"
+         Printf.sprintf "{\"workload\":\"%s\",\"jobs\":%d,\"metrics\":%s}\n"
            (Hida_obs.Trace.json_escape workload)
            jobs
            (Hida_obs.Metrics.to_json m)
-           (c "qor.cache.hits") (c "qor.cache.misses")
-           (c "qor.cache.lock_acquires")
-           (c "qor.cache.lock_blocked")
-           (c "qor.cache.lock_wait_ns")
-           (Hida_obs.Histogram.percentile wait_h 50.)
-           (Hida_obs.Histogram.percentile wait_h 99.)
-           domains
        in
        write_file ~what:"metrics file" path json;
        Printf.printf "metrics written : %s\n" path);
@@ -582,7 +534,7 @@ and run_checked workload device_name pf tile mode_name jobs no_fusion no_balance
 let workload =
   Arg.(required & pos 0 (some string) None & info [] ~docv:"WORKLOAD"
          ~doc:"Model (lenet, resnet18, ...), kernel (2mm, atax, ...), or \
-               \\@FILE.mlir to compile a textual-IR file.")
+               @FILE.mlir to compile a textual-IR file.")
 
 let device =
   Arg.(value & opt string "zu3eg" & info [ "device"; "d" ] ~docv:"DEVICE"
@@ -671,15 +623,14 @@ let stats =
 let profile =
   Arg.(value & flag & info [ "profile" ]
          ~doc:"Detailed multicore profiling: per-candidate DSE spans and \
-               barrier-wait spans in the trace, plus a contention report \
-               (cache-lock wait, worker-pool utilization, latency \
+               barrier-wait spans in the trace, plus a profile report \
+               (store hits, worker-pool utilization, latency \
                histograms).  Never changes the produced design.")
 
 let metrics_json =
   Arg.(value & opt (some string) None & info [ "metrics-json" ] ~docv:"FILE"
-         ~doc:"Write a machine-readable JSON snapshot of the metrics, \
-               latency histograms and qor-cache contention counters to \
-               $(docv).")
+         ~doc:"Write a machine-readable JSON snapshot of the metrics and \
+               latency histograms to $(docv).")
 
 let connect =
   Arg.(value & opt (some string) None & info [ "connect"; "c" ] ~docv:"SOCK"
@@ -690,8 +641,8 @@ let connect =
 
 let incr_cache =
   Arg.(value & opt (some string) None & info [ "incr-cache" ] ~docv:"DIR"
-         ~doc:"Persist the subtree-result store (DSE plans, candidate \
-               costs, node estimates keyed by content hashes) in $(docv) \
+         ~doc:"Persist the QoR store (fusion and DSE decisions, node and \
+               design estimates keyed by content hashes) in $(docv) \
                across runs: a recompile after an edit re-optimizes only \
                the subtrees whose hashes changed.  The produced design is \
                byte-identical with or without the cache.")

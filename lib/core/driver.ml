@@ -33,9 +33,9 @@ type options = {
   analyze : bool; (* run the static dataflow checker (hida.analysis) as a
                      post-lowering and post-balancing gate; failures are
                      diagnostics in the report, never exceptions *)
-  profile : bool; (* detailed profiling: per-candidate DSE spans,
-                     barrier-wait spans and the contention report
-                     (--profile).  Never changes the produced design. *)
+  profile : bool; (* detailed profiling: per-candidate DSE spans and
+                     barrier-wait spans (--profile).  Never changes the
+                     produced design. *)
   verify_each : bool;
   print_ir_after : string option; (* dump IR after passes whose name
                                      contains this substring ("all" =
@@ -70,7 +70,8 @@ let default =
    construction and the rest never touch the IR, so including them
    would only fragment the artifact cache.
    The serve layer keys whole-pipeline artifacts on this string plus the
-   request source and device ([Qor_cache.artifact_signature]). *)
+   request source and device ([Qor_cache.artifact_signature]), and the
+   whole-design estimate in the QoR store is keyed on it too. *)
 let options_fingerprint o =
   Printf.sprintf
     "mode=%s;pf=%d;tile=%d;fusion=%b;balance=%b;multi_producer=%b;dataflow=%b;streaming=%b;weights_onchip=%b;conv=%s;pingpong=%b"
@@ -200,21 +201,17 @@ type state = {
   st_t0 : float;
   st_mgr : Pass.manager;
   st_scope : Hida_obs.Scope.t;
-  st_cont0 : Qor_cache.lock_stats;
-      (* cache-lock contention at compile start, for per-compile deltas *)
-  st_evict0 : int; (* cache evictions at compile start *)
-  st_sub0 : int * int;
-      (* persistent subtree-tier (hits, misses) at compile start *)
+  st_store : (Blob_store.t * string) option;
+      (* the QoR store, with the digest of the pre-optimization function
+         plus the semantic option fingerprint, captured before the first
+         pass mutates it.  [finish] keys the whole-design estimate on
+         it: the pipeline is deterministic in (input, options, device,
+         batch), the same property the artifact cache and the
+         byte-identity guarantee rest on, and digesting the small input
+         IR is an order of magnitude cheaper than walking the optimized
+         design. *)
   mutable st_deltas_rev : Hida_obs.Ir_stats.pass_delta list;
   mutable st_analysis : Hida_analysis.Analysis.diag list;
-  mutable st_input_sig : string option;
-      (* digest of the pre-optimization function plus the semantic
-         option fingerprint, captured before the first pass mutates it.
-         [finish] keys the whole-design estimate memo on it: the
-         pipeline is deterministic in (input, options, device, batch) —
-         the same property the artifact cache and the byte-identity
-         guarantee rest on — and digesting the small input IR is an
-         order of magnitude cheaper than walking the optimized design. *)
 }
 
 let contains ~sub s =
@@ -233,26 +230,22 @@ let make_manager opts =
 (* Wire the observation scope into the manager: each pass gets a trace
    span (verification included, so nested spans opened by the pass land
    inside it) and a before/after IR statistics snapshot. *)
-let make_state opts =
+let make_state opts ?store ~path func =
   let st =
     {
       st_t0 = Unix.gettimeofday ();
       st_mgr = make_manager opts;
       st_scope = Hida_obs.Scope.create ();
-      st_cont0 = Qor_cache.contention (Qor_cache.global ());
-      st_evict0 = Qor_cache.evictions (Qor_cache.global ());
-      st_sub0 = Qor_cache.subtree_counters (Qor_cache.global ());
+      st_store =
+        Option.map
+          (fun s ->
+            (s, path ^ "#" ^ options_fingerprint opts ^ "#" ^ Subtree.digest func))
+          store;
       st_deltas_rev = [];
       st_analysis = [];
-      st_input_sig = None;
     }
   in
   Hida_obs.Scope.set_detailed st.st_scope opts.profile;
-  (* Route QoR estimation through the process-wide memoization cache;
-     content-addressed entries persist across compiles, and the
-     op-identity signature memos are invalidated after every pass (each
-     pass may mutate the IR). *)
-  Qor_cache.install (Qor_cache.global ());
   (* Parallel DSE runs on the persistent work-stealing pool; spawn its
      workers here (once per process — [ensure] is idempotent and the
      domains are reused across levels and across compiles) so the first
@@ -283,7 +276,6 @@ let make_state opts =
         :: st.st_deltas_rev;
       Hida_obs.Metrics.incr metrics "pass.runs";
       Hida_obs.Metrics.add metrics "ir.ops_visited" after.Hida_obs.Ir_stats.ops;
-      Qor_cache.invalidate_signatures (Qor_cache.global ());
       ignore stats);
   st
 
@@ -316,14 +308,12 @@ let add_final_gate opts st =
 
 (* ---- PyTorch (tensor) path ---- *)
 
-let compile_nn ?(opts = default) func =
-  let st = make_state opts in
-  st.st_input_sig <-
-    Some ("nn#" ^ options_fingerprint opts ^ "#" ^ Subtree.digest func);
+let compile_nn ?(opts = default) ?store func =
+  let st = make_state opts ?store ~path:"nn" func in
   let mgr = st.st_mgr in
   Pass.add mgr Canonicalize.pass;
   Pass.add mgr Construct.pass;
-  if opts.enable_fusion then Pass.add mgr (Fusion.pass ());
+  if opts.enable_fusion then Pass.add mgr (Fusion.pass ?store ());
   Pass.add mgr
     (Lowering.nn_pass ~weights_onchip:opts.weights_onchip
        ~boundary:opts.conv_boundary ~stamp:opts.stamp_isomorphic ());
@@ -331,7 +321,7 @@ let compile_nn ?(opts = default) func =
   add_pre_balance_gate opts st;
   if opts.enable_balancing then Pass.add mgr (Balance.pass ());
   Pass.add mgr
-    (Parallelize.pass ~mode:opts.mode ~jobs:opts.jobs
+    (Parallelize.pass ~mode:opts.mode ~jobs:opts.jobs ?store
        ~max_parallel_factor:opts.max_parallel_factor ());
   Pass.add mgr (Partition.pass ~ca:opts.mode.Parallelize.ca ());
   if opts.enable_streaming then Pass.add mgr (Streamize.pass ());
@@ -351,21 +341,19 @@ let compile_nn ?(opts = default) func =
 
 (* ---- C++ (memref) path ---- *)
 
-let compile_memref ?(opts = default) func =
-  let st = make_state opts in
-  st.st_input_sig <-
-    Some ("memref#" ^ options_fingerprint opts ^ "#" ^ Subtree.digest func);
+let compile_memref ?(opts = default) ?store func =
+  let st = make_state opts ?store ~path:"memref" func in
   let mgr = st.st_mgr in
   if opts.enable_dataflow then begin
     Pass.add mgr Canonicalize.pass;
     Pass.add mgr Construct.pass;
-    if opts.enable_fusion then Pass.add mgr (Fusion.pass ());
+    if opts.enable_fusion then Pass.add mgr (Fusion.pass ?store ());
     Pass.add mgr (Pass.make ~name:"lowering" Lowering.lower_memref_func);
     if opts.enable_multi_producer then Pass.add mgr Multi_producer.pass;
     add_pre_balance_gate opts st;
     if opts.enable_balancing then Pass.add mgr (Balance.pass ());
     Pass.add mgr
-      (Parallelize.pass ~mode:opts.mode ~jobs:opts.jobs
+      (Parallelize.pass ~mode:opts.mode ~jobs:opts.jobs ?store
          ~max_parallel_factor:opts.max_parallel_factor ());
     Pass.add mgr (Partition.pass ~ca:opts.mode.Parallelize.ca ());
     if opts.enable_streaming then Pass.add mgr (Streamize.pass ())
@@ -392,62 +380,49 @@ let finish ~device ?(batch = 1) st func =
            which only becomes known here. *)
         Hida_obs.Scope.span ~cat:"driver" "interface-planning" (fun () ->
             ignore (Interface.run ~device func));
-        (* Interface planning mutates port attributes. *)
-        Qor_cache.invalidate_signatures (Qor_cache.global ());
-        let h0, m0 = Qor_cache.counters (Qor_cache.global ()) in
-        let est =
-          Hida_obs.Scope.span ~cat:"driver" "qor-estimation" (fun () ->
-              let cache = Qor_cache.global () in
-              match (Qor_cache.backing cache, st.st_input_sig) with
-              | Some _, Some isig ->
-                  (* Top tier of the signature hierarchy: an unchanged
-                     design (same input, options, device and batch — the
-                     pipeline is deterministic in those) skips per-node
-                     estimation outright. *)
-                  let key =
-                    Printf.sprintf "design#%s#%d#%s" device.Device.name batch
-                      isig
-                  in
-                  Qor_cache.memo_design cache key (fun () ->
-                      Qor.estimate_func device ~batch func)
-              | _ -> Qor.estimate_func device ~batch func)
-        in
-        let h1, m1 = Qor_cache.counters (Qor_cache.global ()) in
-        Hida_obs.Scope.count "qor.cache.hits" (h1 - h0);
-        Hida_obs.Scope.count "qor.cache.misses" (m1 - m0);
-        est)
+        Hida_obs.Scope.span ~cat:"driver" "qor-estimation" (fun () ->
+            match st.st_store with
+            | Some (store, isig) ->
+                (* Top tier of the signature hierarchy: an unchanged
+                   design (same input, options, device and batch — the
+                   pipeline is deterministic in those) skips per-node
+                   estimation outright; otherwise each unchanged node's
+                   estimate comes from the store. *)
+                let key =
+                  Printf.sprintf "design#%s#%d#%s" device.Device.name batch isig
+                in
+                Qor_cache.memo_design store key (fun () ->
+                    Qor.estimate_func ~memo:(Qor_cache.node_memo store) device
+                      ~batch func)
+            | None -> Qor.estimate_func device ~batch func))
   in
   let compile_seconds = Unix.gettimeofday () -. st.st_t0 in
   let metrics = Hida_obs.Scope.metrics scope in
   Hida_obs.Metrics.set_gauge metrics "compile.seconds" compile_seconds;
   Hida_obs.Metrics.set_gauge metrics "verify.seconds"
     (Pass.total_verify_seconds st.st_mgr);
-  (* Cache-lock contention accumulated by this compile (the per-compile
-     delta against the snapshot taken at [make_state]). *)
-  let c1 = Qor_cache.contention (Qor_cache.global ()) in
-  Hida_obs.Metrics.add metrics "qor.cache.lock_acquires"
-    (c1.Qor_cache.lc_acquires - st.st_cont0.Qor_cache.lc_acquires);
-  Hida_obs.Metrics.add metrics "qor.cache.lock_blocked"
-    (c1.Qor_cache.lc_blocked - st.st_cont0.Qor_cache.lc_blocked);
-  Hida_obs.Metrics.add metrics "qor.cache.lock_wait_ns"
-    (c1.Qor_cache.lc_wait_ns - st.st_cont0.Qor_cache.lc_wait_ns);
-  Hida_obs.Metrics.add metrics "qor.cache.evictions"
-    (Qor_cache.evictions (Qor_cache.global ()) - st.st_evict0);
-  (* Persistent subtree-tier reuse accumulated by this compile.  The
-     keys are published unconditionally (zero when no backing store is
-     attached) so consumers — CI asserts [incr.subtree.hits > 0] on an
-     incremental recompile — can rely on their presence. *)
-  let sh1, sm1 = Qor_cache.subtree_counters (Qor_cache.global ()) in
-  let sh0, sm0 = st.st_sub0 in
-  Hida_obs.Metrics.add metrics "incr.subtree.hits" (sh1 - sh0);
-  Hida_obs.Metrics.add metrics "incr.subtree.misses" (sm1 - sm0);
-  Hida_obs.Metrics.add metrics "incr.subtree.stamped" 0;
+  (* Store reuse by this compile.  The keys are published
+     unconditionally (zero without a store) so consumers — CI asserts
+     [incr.subtree.hits > 0] on an incremental recompile — can rely on
+     their presence. *)
+  List.iter
+    (fun k -> Hida_obs.Metrics.add metrics k 0)
+    [ "incr.subtree.hits"; "incr.subtree.misses"; "incr.subtree.stamped" ];
+  let count = Hida_obs.Metrics.counter metrics in
+  let hits = count "incr.subtree.hits" and corrupt = count "incr.cache.corrupt" in
   Hida_obs.Scope.with_scope scope (fun () ->
-      if sh1 - sh0 > 0 then
+      if hits > 0 then
         Hida_obs.Scope.remark ~pass:"driver" Hida_obs.Remark.Analysis
           "incremental reuse: %d subtree result(s) served from the persistent \
            store (%d computed fresh)"
-          (sh1 - sh0) (sm1 - sm0));
+          hits
+          (count "incr.subtree.misses");
+      if corrupt > 0 then
+        Hida_obs.Scope.remark ~pass:"driver" Hida_obs.Remark.Analysis
+          "%d corrupt store entr%s could not be decoded; recomputed and \
+           overwritten"
+          corrupt
+          (if corrupt = 1 then "y" else "ies"));
   {
     design = func;
     estimate;
@@ -462,34 +437,31 @@ let finish ~device ?(batch = 1) st func =
   }
 
 (* Convenience wrappers. *)
-let run_nn ?opts ~device ?batch func =
-  let state = compile_nn ?opts func in
+let run_nn ?opts ?store ~device ?batch func =
+  let state = compile_nn ?opts ?store func in
   finish ~device ?batch state func
 
-let run_memref ?opts ~device ?batch func =
-  let state = compile_memref ?opts func in
+let run_memref ?opts ?store ~device ?batch func =
+  let state = compile_memref ?opts ?store func in
   finish ~device ?batch state func
 
 (* Unified entry point: one call per front-end path, so callers that
    dispatch on a runtime path tag (the CLI, the compile server's
    artifact builder) need not duplicate the branch. *)
-let run ?opts ~device ?batch ~path func =
+let run ?opts ?store ~device ?batch ~path func =
   match path with
-  | `Nn -> run_nn ?opts ~device ?batch func
-  | `Memref -> run_memref ?opts ~device ?batch func
-
+  | `Nn -> run_nn ?opts ?store ~device ?batch func
+  | `Memref -> run_memref ?opts ?store ~device ?batch func
 (* Maximum-parallel-factor search under resource constraints (step (3) of
    §6.5.1 at the whole-design level): try decreasing parallel factors on
    freshly built IR until the estimated design fits the device. *)
 let pf_candidates = [ 256; 128; 64; 32; 16; 8; 4; 2; 1 ]
 
-let fit ?(opts = default) ?(batch = 1) ?pf_cap ~device ~path build =
+let fit ?(opts = default) ?(batch = 1) ?pf_cap ?store ~device ~path build =
   let attempt pf =
     let _m, func = build () in
-    let opts = { opts with max_parallel_factor = pf } in
-    match path with
-    | `Nn -> run_nn ~opts ~device ~batch func
-    | `Memref -> run_memref ~opts ~device ~batch func
+    run ~opts:{ opts with max_parallel_factor = pf } ?store ~device ~batch ~path
+      func
   in
   let rec largest = function
     | [] -> (1, attempt 1)

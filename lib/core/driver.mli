@@ -40,8 +40,7 @@ type options = {
           diagnostics in {!report.analysis}, never exceptions *)
   profile : bool;
       (** detailed profiling ([--profile]): per-candidate DSE spans and
-          barrier-wait spans in the trace, plus the contention report.
-          Histograms and counters are always recorded; this flag only
+          barrier-wait spans in the trace.  Histograms and counters are always recorded; this flag only
           adds the high-volume spans.  Never changes the design. *)
   verify_each : bool;
   print_ir_after : string option;
@@ -92,18 +91,41 @@ type state
 
 val make_manager : options -> Pass.manager
 
-val compile_nn : ?opts:options -> Ir.op -> state
-(** PyTorch path; returns the in-flight state for {!finish}. *)
+val compile_nn : ?opts:options -> ?store:Blob_store.t -> Ir.op -> state
+(** PyTorch path; returns the in-flight state for {!finish}.
 
-val compile_memref : ?opts:options -> Ir.op -> state
+    With a [store], fusion decisions, DSE results, schedule replays and
+    QoR estimates are looked up in it and written to it under
+    content-addressed keys ({!Qor_cache}), so a later compile reuses
+    every unchanged subtree's result; the design is byte-identical
+    either way.  Without one nothing is memoized.  The report's
+    [incr.subtree.hits]/[incr.subtree.misses] counters count the store
+    lookups, and undecodable entries are counted as
+    [incr.cache.corrupt] and reported in one remark. *)
+
+val compile_memref : ?opts:options -> ?store:Blob_store.t -> Ir.op -> state
 
 val finish : device:Device.t -> ?batch:int -> state -> Ir.op -> report
 
-val run_nn : ?opts:options -> device:Device.t -> ?batch:int -> Ir.op -> report
-val run_memref : ?opts:options -> device:Device.t -> ?batch:int -> Ir.op -> report
+val run_nn :
+  ?opts:options ->
+  ?store:Blob_store.t ->
+  device:Device.t ->
+  ?batch:int ->
+  Ir.op ->
+  report
+
+val run_memref :
+  ?opts:options ->
+  ?store:Blob_store.t ->
+  device:Device.t ->
+  ?batch:int ->
+  Ir.op ->
+  report
 
 val run :
   ?opts:options ->
+  ?store:Blob_store.t ->
   device:Device.t ->
   ?batch:int ->
   path:[ `Memref | `Nn ] ->
@@ -118,6 +140,7 @@ val fit :
   ?opts:options ->
   ?batch:int ->
   ?pf_cap:int ->
+  ?store:Blob_store.t ->
   device:Device.t ->
   path:[ `Memref | `Nn ] ->
   (unit -> Ir.op * Ir.op) ->

@@ -301,7 +301,7 @@ let task_intensity = Intensity.op_intensity
    list as it stood before each single fusion — can be replayed
    verbatim on any dispatch with the same content digest, skipping the
    quadratic legality and intensity scans that dominate this pass.
-   Recording only happens when a backing store is attached. *)
+   Recording only happens when a store is attached. *)
 
 let task_pos tasks op =
   let rec go i = function
@@ -317,31 +317,9 @@ let record log ~kind ~tasks ~producer ~consumer =
   | Some l ->
       l := (kind, task_pos tasks producer, task_pos tasks consumer) :: !l
 
-let encode_steps steps =
-  String.concat ";"
-    (List.rev_map (fun (kind, i, j) -> Printf.sprintf "%s,%d,%d" kind i j) steps)
-
-let decode_steps s =
-  if s = "" then Some []
-  else
-    let parse st =
-      match String.split_on_char ',' st with
-      | [ kind; i; j ] -> (
-          match (int_of_string_opt i, int_of_string_opt j) with
-          | Some i, Some j when 0 <= i && i < j -> Some (kind, i, j)
-          | _ -> None)
-      | _ -> None
-    in
-    let rec go acc = function
-      | [] -> Some (List.rev acc)
-      | st :: rest -> (
-          match parse st with Some x -> go (x :: acc) rest | None -> None)
-    in
-    go [] (String.split_on_char ';' s)
-
 (* Replay is trusted: the key is a content digest of the whole dispatch,
    so a recorded step can only be out of range if the store is corrupt
-   (which the persistence layer's versioned header already guards). *)
+   ([Qor_cache.find_fusion] already rejects undecodable entries). *)
 let replay_steps d steps =
   List.iter
     (fun (kind, i, j) ->
@@ -524,48 +502,44 @@ let simplify d =
             erase_op inner
         | _ -> ())
 
-let run ?(patterns = default_patterns) ?(balance = true) m =
-  let cache = Qor_cache.global () in
+let run ?(patterns = default_patterns) ?(balance = true) ?store m =
   let dispatches = Walk.collect m ~pred:Hida_d.is_dispatch in
   List.iter
     (fun d ->
-      (* Key only when a backing store is attached — compiles without
-         one pay no digest walk. *)
-      let key =
-        match Qor_cache.backing cache with
-        | None -> None
-        | Some _ ->
-            Some
-              ("fusion:"
+      (* Key only when a store is attached: compiles without one pay no
+         digest walk. *)
+      let slot =
+        Option.map
+          (fun st ->
+            ( st,
+              "fusion:"
               ^ String.concat "+" (List.map (fun p -> p.p_name) patterns)
               ^ (if balance then ":b:" else ":nb:")
-              ^ Subtree.digest ~describe_free:Subtree.describe_full d)
+              ^ Subtree.digest ~describe_free:Subtree.describe_full d ))
+          store
       in
       let replayed =
-        match Option.bind key (Qor_cache.find_replay cache) with
+        match Option.bind slot (fun (st, k) -> Qor_cache.find_fusion st k) with
         | None -> false
-        | Some enc -> (
-            match decode_steps enc with
-            | None -> false (* corrupt entry, before any mutation *)
-            | Some steps ->
-                replay_steps d steps;
-                if steps <> [] then
-                  Obs.remark ~op:d ~pass:pass_name Hida_obs.Remark.Analysis
-                    "replayed %d fusion decision(s) from the subtree store"
-                    (List.length steps);
-                true)
+        | Some steps ->
+            replay_steps d steps;
+            if steps <> [] then
+              Obs.remark ~op:d ~pass:pass_name Hida_obs.Remark.Analysis
+                "replayed %d fusion decision(s) from the subtree store"
+                (List.length steps);
+            true
       in
       if not replayed then begin
-        let log = Option.map (fun _ -> ref []) key in
+        let log = Option.map (fun _ -> ref []) slot in
         apply_patterns ?log patterns d;
         if balance then apply_balancing ?log d;
-        match (key, log) with
-        | Some k, Some l -> Qor_cache.store_replay cache k (encode_steps !l)
+        match (slot, log) with
+        | Some (st, k), Some l -> Qor_cache.store_fusion st k (List.rev !l)
         | _ -> ()
       end;
       simplify d)
     dispatches
 
-let pass ?patterns ?balance () =
+let pass ?patterns ?balance ?store () =
   Pass.make ~name:"functional-dataflow-task-fusion" (fun m ->
-      run ?patterns ?balance m)
+      run ?patterns ?balance ?store m)

@@ -35,5 +35,19 @@ val fuse : Ir.op -> Ir.op -> Ir.op
 
 val task_intensity : Ir.op -> int
 
-val run : ?patterns:pattern list -> ?balance:bool -> Ir.op -> unit
-val pass : ?patterns:pattern list -> ?balance:bool -> unit -> Pass.t
+val run :
+  ?patterns:pattern list ->
+  ?balance:bool ->
+  ?store:Hida_estimator.Blob_store.t ->
+  Ir.op ->
+  unit
+(** With a [store], each dispatch's fusion decisions are recorded under
+    its content digest and replayed on a later compile of the same
+    dispatch. *)
+
+val pass :
+  ?patterns:pattern list ->
+  ?balance:bool ->
+  ?store:Hida_estimator.Blob_store.t ->
+  unit ->
+  Pass.t

@@ -14,7 +14,7 @@
    everything a search reads (dims, constraints, the bank-cost context
    derived from already-parallelized neighbours) into plain data on the
    orchestrating domain, [execute_task] is a pure computation over that
-   snapshot (plus the mutex-guarded [Qor_cache]), and the merge applies
+   snapshot, and the merge applies
    unroll directives and reports metrics/remarks in the sequential
    order.  Nodes are grouped into levels of the connection graph; nodes
    within one level share no connection, so their constraint sets are
@@ -207,7 +207,8 @@ let factors_string factors =
 (* ---- Memo keys ------------------------------------------------------ *)
 
 (* Serializations of the complete input of one deterministic search, so
-   a [Qor_cache] hit can skip the whole exploration. *)
+   a store hit can skip the whole exploration, and identical searches of
+   one schedule are solved once. *)
 
 let ser_dims dims =
   String.concat ";"
@@ -247,26 +248,14 @@ let engine_tag = function
   | `Exhaustive -> "ex"
   | `Stochastic seed -> "st" ^ string_of_int seed
 
-(* Candidate cost over a context snapshot, memoized per (context,
-   proposal) in the [Qor_cache].  The instrumentation records each cost
-   invocation as one candidate scored (incl. the [memo_float] lock
-   round-trip, the per-candidate contention suspect): a histogram
-   sample always, a per-candidate trace span only in detailed
-   ([--profile]) mode.  Timing changes no result.  The returned closure
-   is pure data over the snapshot plus the mutex-guarded cache, so it is
-   safe to call from pool worker domains (the ambient scope is
-   re-installed there before tasks run). *)
-let make_cost cache ctx =
-  let cost =
-    match ctx with
-    | [] -> fun _ -> 0.
-    | _ ->
-        let prefix = "cost#" ^ ser_context ctx ^ "#" in
-        fun proposal ->
-          Qor_cache.memo_float cache
-            (prefix ^ factors_string proposal)
-            (fun () -> snapshot_bank_cost ctx proposal)
-  in
+(* Candidate cost over a context snapshot.  The instrumentation records
+   each cost invocation as one candidate scored: a histogram sample
+   always, a per-candidate trace span only in detailed ([--profile])
+   mode.  Timing changes no result.  The returned closure is pure data
+   over the snapshot, so it is safe to call from pool worker domains
+   (the ambient scope is re-installed there before tasks run). *)
+let make_cost ctx =
+  let cost = match ctx with [] -> fun _ -> 0. | _ -> snapshot_bank_cost ctx in
   if Option.is_none (Obs.current ()) then cost
   else fun proposal ->
     let t0 = Clock.now_ns () in
@@ -281,7 +270,7 @@ let make_cost cache ctx =
         ~start_ns:t0 ~stop_ns:t1;
     c
 
-(* The memo key of one deterministic search: engine + seed, parallel
+(* The key of one deterministic search: engine + seed, parallel
    factor, dims with their reduction/serial classes, connection
    constraints and the bank-cost context — every input, so hits are
    always semantically valid. *)
@@ -296,16 +285,32 @@ let search_key engine ~constraints ~ctx ~dims ~parallel_factor =
       ser_context ctx;
     ]
 
-(* One memoized per-node DSE (the sequential entry, used for bare loop
-   nests; schedule-level DSE goes through the candidate-task planner
-   below).  On a miss [stats] reflects the exploration; on a hit it
-   stays zero (no points were proposed). *)
-let cached_search cache engine ~constraints ~ctx ~dims ~parallel_factor ~stats
-    () =
-  let cost = make_cost cache ctx in
-  let key = search_key engine ~constraints ~ctx ~dims ~parallel_factor in
-  Qor_cache.memo_factors cache key (fun () ->
-      search_with engine ~constraints ~cost ~stats ~dims ~parallel_factor ())
+(* A stored search result must have one factor per spine level; any
+   other tuple is a corrupt entry. *)
+let find_search store ~dims key =
+  Qor_cache.find_factors store key ~valid:(fun f ->
+      Array.length f = Array.length dims)
+
+(* One per-node DSE through the store (the sequential entry, used for
+   bare loop nests; schedule-level DSE goes through the candidate-task
+   planner below).  On a miss [stats] reflects the exploration; on a
+   hit it stays zero (no points were proposed). *)
+let cached_search ?store engine ~constraints ~ctx ~dims ~parallel_factor
+    ~stats () =
+  let search () =
+    search_with engine ~constraints ~cost:(make_cost ctx) ~stats ~dims
+      ~parallel_factor ()
+  in
+  match store with
+  | None -> search ()
+  | Some st -> (
+      let key = search_key engine ~constraints ~ctx ~dims ~parallel_factor in
+      match find_search st ~dims key with
+      | Some f -> f
+      | None ->
+          let f = search () in
+          Qor_cache.store_factors st key f;
+          f)
 
 (* ---- Level scheduling ----------------------------------------------- *)
 
@@ -379,15 +384,11 @@ type node_outcome = {
    and committed in node order after the batch, and the candidate
    comparison is a strict total order on distinct tuples (the winner is
    unique), so neither completion order nor chunk boundaries can show
-   in the output.  Cache-counter parity with the sequential path is
-   kept deliberately: per level, the {e first} occurrence of a search
-   key is probed once (hit, or miss + one store), duplicates are
-   resolved against the cache after the batch (hit) — the same
-   hit/miss sequence the sequential loop produces — and candidate
-   costs are evaluated eagerly exactly once per enumerated candidate on
-   every path, so eval counts no longer depend on jobs (the profile
-   sweep's stat-contamination bug: duplicated whole searches when two
-   domains raced the same memo key). *)
+   in the output.  Per schedule, only the {e first} occurrence of a
+   search key probes the store and is searched; duplicates, in the same
+   level or a later one, share their leader's slot.  Candidate costs are
+   evaluated exactly once per enumerated candidate on every path, so
+   eval counts do not depend on jobs. *)
 
 let eval_chunk_size = 16
 
@@ -397,7 +398,7 @@ let eval_chunk_size = 16
    machinery). *)
 let inline_eval_threshold = 48
 
-(* One search the current level must still compute (no cache entry at
+(* One search the current level must still compute (no store entry at
    plan time).  Exhaustive searches carry their enumerated candidates
    pre-chunked plus a result slot per candidate; a stochastic search is
    a single opaque task (its propose/evaluate loop is inherently
@@ -409,78 +410,79 @@ type pending = {
   pd_chunks : int array array array;
   pd_evals : (int array * float) array array;
   pd_whole : (unit -> int array) option;
-  mutable pd_whole_result : int array;
+  mutable pd_result : int array; (* the winner, set once the batch ran *)
   pd_ns : int Atomic.t; (* summed task time, for node-search attribution *)
 }
 
 (* How one search of the level resolves. *)
 type search_slot =
-  | S_ready of int array (* plan-time cache hit *)
+  | S_ready of int array (* plan-time store hit *)
   | S_work of pending (* first occurrence: computed by this level's batch *)
-  | S_dup of string (* duplicate key: resolved against the cache after *)
+  | S_dup of search_slot (* duplicate key: shares its leader's result *)
 
-let plan_search cache engine ~seen ~pending_rev ~constraints ~ctx ~dims
+let plan_search ?store engine ~seen ~pending_rev ~constraints ~ctx ~dims
     ~parallel_factor ~stats =
   let key = search_key engine ~constraints ~ctx ~dims ~parallel_factor in
-  if Hashtbl.mem seen key then begin
-    (* Same-level structure sharing: an identical search key at this
-       level is solved once and resolved for every duplicate site.
-       This composes with the persistent subtree tier below — the first
-       occurrence's [find_factors] may itself be served by the backing
-       store, in which case the whole group costs zero searches. *)
-    Hida_obs.Scope.count "dse.search_dedup" 1;
-    S_dup key
-  end
-  else begin
-    Hashtbl.add seen key ();
-    match Qor_cache.find_factors cache key with
-    | Some f -> S_ready f
-    | None ->
-        let cost = make_cost cache ctx in
-        let pd =
-          match engine with
-          | `Exhaustive ->
-              let candidates =
-                Dse.enumerate ~constraints ~stats ~dims ~parallel_factor ()
-              in
-              let n = List.length candidates in
-              let nchunks = (n + eval_chunk_size - 1) / eval_chunk_size in
-              let arr = Array.of_list candidates in
-              let chunks =
-                Array.init nchunks (fun j ->
-                    Array.sub arr (j * eval_chunk_size)
-                      (min eval_chunk_size (n - (j * eval_chunk_size))))
-              in
-              {
-                pd_key = key;
-                pd_dims = dims;
-                pd_cost = cost;
-                pd_chunks = chunks;
-                pd_evals =
-                  Array.map (Array.map (fun _ -> ([||], 0.))) chunks;
-                pd_whole = None;
-                pd_whole_result = [||];
-                pd_ns = Atomic.make 0;
-              }
-          | `Stochastic _ ->
-              {
-                pd_key = key;
-                pd_dims = dims;
-                pd_cost = cost;
-                pd_chunks = [||];
-                pd_evals = [||];
-                pd_whole =
-                  Some
-                    (fun () ->
-                      search_with engine ~constraints ~cost ~stats ~dims
-                        ~parallel_factor ());
-                pd_whole_result = [||];
-                pd_ns = Atomic.make 0;
-              }
-        in
-        pending_rev := pd :: !pending_rev;
-        S_work pd
-  end
+  match Hashtbl.find_opt seen key with
+  | Some leader ->
+      (* Structure sharing: an identical search key is solved once per
+         schedule and resolved for every duplicate site.  The leader
+         may itself be a store hit, in which case the whole group costs
+         zero searches. *)
+      Hida_obs.Scope.count "dse.search_dedup" 1;
+      S_dup leader
+  | None ->
+      let slot =
+        match Option.bind store (fun st -> find_search st ~dims key) with
+        | Some f -> S_ready f
+        | None ->
+            let cost = make_cost ctx in
+            let pd =
+              match engine with
+              | `Exhaustive ->
+                  let candidates =
+                    Dse.enumerate ~constraints ~stats ~dims ~parallel_factor ()
+                  in
+                  let n = List.length candidates in
+                  let nchunks = (n + eval_chunk_size - 1) / eval_chunk_size in
+                  let arr = Array.of_list candidates in
+                  let chunks =
+                    Array.init nchunks (fun j ->
+                        Array.sub arr (j * eval_chunk_size)
+                          (min eval_chunk_size (n - (j * eval_chunk_size))))
+                  in
+                  {
+                    pd_key = key;
+                    pd_dims = dims;
+                    pd_cost = cost;
+                    pd_chunks = chunks;
+                    pd_evals =
+                      Array.map (Array.map (fun _ -> ([||], 0.))) chunks;
+                    pd_whole = None;
+                    pd_result = [||];
+                    pd_ns = Atomic.make 0;
+                  }
+              | `Stochastic _ ->
+                  {
+                    pd_key = key;
+                    pd_dims = dims;
+                    pd_cost = cost;
+                    pd_chunks = [||];
+                    pd_evals = [||];
+                    pd_whole =
+                      Some
+                        (fun () ->
+                          search_with engine ~constraints ~cost ~stats ~dims
+                            ~parallel_factor ());
+                    pd_result = [||];
+                    pd_ns = Atomic.make 0;
+                  }
+            in
+            pending_rev := pd :: !pending_rev;
+            S_work pd
+      in
+      Hashtbl.add seen key slot;
+      slot
 
 let pending_tasks pd =
   match pd.pd_whole with
@@ -488,7 +490,7 @@ let pending_tasks pd =
       [
         (fun () ->
           let t0 = Clock.now_ns () in
-          pd.pd_whole_result <- f ();
+          pd.pd_result <- f ();
           ignore (Atomic.fetch_and_add pd.pd_ns (Clock.now_ns () - t0)));
       ]
   | None ->
@@ -507,40 +509,34 @@ let pending_evals pd =
   | Some _ -> inline_eval_threshold (* a whole search always justifies a task *)
   | None -> Array.fold_left (fun acc c -> acc + Array.length c) 0 pd.pd_chunks
 
-(* Commit one search slot: reduce the chunk winners (the comparison's
-   total order makes the result independent of chunk boundaries), store
-   the factors under the search key, and resolve duplicates against the
-   cache — in plan order, so a duplicate always finds its leader's
-   entry, mirroring the sequential miss-then-hit sequence. *)
-let resolve_slot cache = function
+(* Settle one search after its batch ran: reduce the chunk winners (the
+   comparison's total order makes the result independent of chunk
+   boundaries) and write the factors to the store under the search
+   key.  Runs in plan order, so store writes are deterministic. *)
+let settle ?store pd =
+  (match pd.pd_whole with
+  | Some _ -> ()
+  | None ->
+      let best = ref None in
+      Array.iter
+        (Array.iter (fun (cand, c) ->
+             match !best with
+             | None -> best := Some (cand, c)
+             | Some (b, cb) ->
+                 let cost x = if x == cand then c else cb in
+                 if Dse.compare_candidates ~dims:pd.pd_dims ~cost cand b < 0
+                 then best := Some (cand, c)))
+        pd.pd_evals;
+      pd.pd_result <-
+        (match !best with
+        | Some (b, _) -> b
+        | None -> Array.make (Array.length pd.pd_dims) 1));
+  Option.iter (fun st -> Qor_cache.store_factors st pd.pd_key pd.pd_result) store
+
+let rec resolve_slot = function
   | S_ready f -> f
-  | S_dup key -> (
-      match Qor_cache.find_factors cache key with
-      | Some f -> f
-      | None -> assert false (* its leader resolved strictly earlier *))
-  | S_work pd ->
-      let f =
-        match pd.pd_whole with
-        | Some _ -> pd.pd_whole_result
-        | None ->
-            let best = ref None in
-            Array.iter
-              (Array.iter (fun (cand, c) ->
-                   match !best with
-                   | None -> best := Some (cand, c)
-                   | Some (b, cb) ->
-                       let cost x = if x == cand then c else cb in
-                       if
-                         Dse.compare_candidates ~dims:pd.pd_dims ~cost cand b
-                         < 0
-                       then best := Some (cand, c)))
-              pd.pd_evals;
-            (match !best with
-            | Some (b, _) -> b
-            | None -> Array.make (Array.length pd.pd_dims) 1)
-      in
-      Qor_cache.store_factors cache pd.pd_key f;
-      f
+  | S_work pd -> pd.pd_result
+  | S_dup leader -> resolve_slot leader
 
 let publish_batch (rep : Domain_pool.batch_report) =
   Obs.count "parallelize.pool.wall_ns" rep.Domain_pool.br_wall_ns;
@@ -568,18 +564,18 @@ let publish_batch (rep : Domain_pool.batch_report) =
   end
 
 (* Execute one level: plan every search (primary + fused sub-nests) of
-   every node into slots, run the deduplicated work — inline when tiny,
-   as one stolen-from task batch otherwise — and commit in node order.
+   every node into slots ([seen] holds the slots of the schedule so
+   far), run the deduplicated work — inline when tiny, as one
+   stolen-from task batch otherwise — and commit in node order.
    Returns outcomes aligned with [tasks]. *)
-let execute_level cache engine ~jobs ~level_index tasks =
-  let seen = Hashtbl.create 16 in
+let execute_level ?store engine ~seen ~jobs ~level_index tasks =
   let pending_rev = ref [] in
   let planned =
     List.map
       (fun t ->
         let pstats = { Dse.proposed = 0; valid = 0 } in
         let primary =
-          plan_search cache engine ~seen ~pending_rev
+          plan_search ?store engine ~seen ~pending_rev
             ~constraints:t.t_constraints ~ctx:t.t_ctx ~dims:t.t_dims
             ~parallel_factor:t.t_pf ~stats:pstats
         in
@@ -588,7 +584,7 @@ let execute_level cache engine ~jobs ~level_index tasks =
             (fun st ->
               let sstats = { Dse.proposed = 0; valid = 0 } in
               let slot =
-                plan_search cache engine ~seen ~pending_rev ~constraints:[]
+                plan_search ?store engine ~seen ~pending_rev ~constraints:[]
                   ~ctx:[] ~dims:st.st_dims ~parallel_factor:t.t_pf
                   ~stats:sstats
               in
@@ -628,6 +624,7 @@ let execute_level cache engine ~jobs ~level_index tasks =
           in
           publish_batch (Domain_pool.run_batch ~jobs wrapped))
   end;
+  List.iter (settle ?store) pendings;
   (* Ordered commit. *)
   List.map
     (fun (t, primary, pstats, subs) ->
@@ -639,10 +636,10 @@ let execute_level cache engine ~jobs ~level_index tasks =
       in
       Obs.observe "dse.node_search_ns" node_ns;
       Obs.count "dse.node_search_total_ns" node_ns;
-      let factors = resolve_slot cache primary in
+      let factors = resolve_slot primary in
       let o_subs =
         List.map
-          (fun (st, slot, sstats) -> (st, resolve_slot cache slot, sstats))
+          (fun (st, slot, sstats) -> (st, resolve_slot slot, sstats))
           subs
       in
       (t, { o_factors = factors; o_stats = pstats; o_subs }))
@@ -659,6 +656,13 @@ let dims_of_spine owner spine =
            serial = cls = `Serial;
          })
        spine)
+
+(* The loop nests of a node other than its primary spine's (fused
+   nodes): each gets its own unconstrained search. *)
+let sub_nests node spine =
+  List.filter
+    (fun nest -> not (List.exists (Op.equal nest) spine))
+    (Affine_d.outermost_loops node)
 
 (* Snapshot everything one node's DSE reads.  Runs on the orchestrating
    domain, against the [parallelized] factors of strictly earlier
@@ -694,16 +698,12 @@ let prepare_task ~mode ~max_pf ~max_intensity ~connections ~parallelized
      gets the connection-constrained DSE, the remaining nests each
      receive an unconstrained intra-node DSE at the same parallel factor
      (their buffers are node-local). *)
-  let in_spine l = List.exists (Op.equal l) spine in
   let subs =
-    List.filter_map
+    List.map
       (fun nest ->
-        if in_spine nest then None
-        else
-          let sub_spine = Intensity.spine_of nest in
-          Some
-            { st_spine = sub_spine; st_dims = dims_of_spine nest sub_spine })
-      (Affine_d.outermost_loops node)
+        let sub_spine = Intensity.spine_of nest in
+        { st_spine = sub_spine; st_dims = dims_of_spine nest sub_spine })
+      (sub_nests node spine)
   in
   {
     t_node = node;
@@ -718,8 +718,9 @@ let prepare_task ~mode ~max_pf ~max_intensity ~connections ~parallelized
 
 (* ---- Schedule-level replay --------------------------------------------
 
-   The whole per-schedule outcome is additionally memoized under the
-   schedule's structural signature (plus mode/engine/max factor): a
+   With a store, the whole per-schedule outcome is additionally stored
+   under the schedule's structural signature (plus mode/engine/max
+   factor): a
    recompile of an identical schedule replays the stored factors
    positionally, skipping the connection analysis and every search.
    One int-array entry per node in search order — [| position-in-block;
@@ -737,55 +738,63 @@ let encode_replay ~pos task (out : node_outcome) =
             (fun (_, sf, _) -> Array.length sf :: Array.to_list sf)
             out.o_subs))
 
-let try_replay cache ~key nodes =
-  match Qor_cache.find_factors cache (key ^ "#meta") with
-  | Some meta when Array.length meta = 1 && meta.(0) = List.length nodes ->
-      let node_arr = Array.of_list nodes in
-      let decode enc =
-        let i = ref 0 in
-        let next () =
-          let v = enc.(!i) in
-          incr i;
-          v
-        in
-        let read_arr n =
-          let a = Array.make n 0 in
-          for j = 0 to n - 1 do
-            a.(j) <- next ()
-          done;
-          a
-        in
-        let pos = next () in
-        let intensity = next () in
-        let pf = next () in
-        let ncons = next () in
-        let factors = read_arr (next ()) in
-        let nsubs = next () in
-        let rec read_subs k acc =
-          if k = 0 then List.rev acc
-          else read_subs (k - 1) (read_arr (next ()) :: acc)
-        in
-        (node_arr.(pos), intensity, pf, ncons, factors, read_subs nsubs [])
-      in
+(* Decode one replay entry against the schedule's nodes.  [None] unless
+   the entry names a node of this schedule and carries one positive
+   factor per spine level of that node and of each of its sub-nests. *)
+let decode_replay node_arr enc =
+  let i = ref 0 in
+  let next () =
+    let v = enc.(!i) in
+    incr i;
+    v
+  in
+  let read_factors spine =
+    let n = next () in
+    if n <> List.length spine then raise Exit;
+    let a = Array.init n (fun _ -> next ()) in
+    if Array.exists (fun f -> f < 1) a then raise Exit;
+    (spine, a)
+  in
+  try
+    let node = node_arr.(next ()) in
+    let intensity = next () in
+    let pf = next () in
+    let ncons = next () in
+    let spine, factors = read_factors (Intensity.spine_of node) in
+    let nests = sub_nests node spine in
+    if next () <> List.length nests then raise Exit;
+    let subs = List.map (fun nest -> read_factors (Intensity.spine_of nest)) nests in
+    if !i <> Array.length enc then raise Exit;
+    Some (node, intensity, pf, ncons, spine, factors, subs)
+  with Exit | Invalid_argument _ -> None
+
+let try_replay store ~key nodes =
+  let node_arr = Array.of_list nodes in
+  let n = Array.length node_arr in
+  match
+    Qor_cache.find_factors store (key ^ "#meta") ~valid:(fun m -> m = [| n |])
+  with
+  | None -> None
+  | Some _ ->
+      let valid enc = Option.is_some (decode_replay node_arr enc) in
       let rec fetch rank acc =
-        if rank = Array.length node_arr then Some (List.rev acc)
+        if rank = n then Some (List.rev acc)
         else
           match
-            Qor_cache.find_factors cache (Printf.sprintf "%s#%d" key rank)
+            Qor_cache.find_factors store (Printf.sprintf "%s#%d" key rank) ~valid
           with
           | None -> None
-          | Some enc -> fetch (rank + 1) (decode enc :: acc)
+          | Some enc ->
+              fetch (rank + 1) (Option.get (decode_replay node_arr enc) :: acc)
       in
       fetch 0 []
-  | _ -> None
 
 (* Apply a replayed outcome: same unroll directives, metrics and remarks
    (in the same order) as the sequential loop, with zero explored points
    (nothing was searched). *)
 let apply_replay ~max_parallel_factor decoded =
   List.map
-    (fun (node, intensity, pf, ncons, factors, subs) ->
-      let spine = Intensity.spine_of node in
+    (fun (node, intensity, pf, ncons, spine, factors, subs) ->
       List.iteri (fun i l -> Affine_d.set_unroll l factors.(i)) spine;
       Obs.count "parallelize.nodes" 1;
       Obs.count "parallelize.constraints" ncons;
@@ -798,16 +807,10 @@ let apply_replay ~max_parallel_factor decoded =
           "allotted parallel factor %d not reachable: divisor lattice and \
            connection constraints cap the factor product at %d"
           pf (Dse.product factors);
-      let in_spine l = List.exists (Op.equal l) spine in
-      let sub_nests =
-        List.filter (fun n -> not (in_spine n)) (Affine_d.outermost_loops node)
-      in
-      List.iter2
-        (fun nest sf ->
-          List.iteri
-            (fun i l -> Affine_d.set_unroll l sf.(i))
-            (Intensity.spine_of nest))
-        sub_nests subs;
+      List.iter
+        (fun (sub_spine, sf) ->
+          List.iteri (fun i l -> Affine_d.set_unroll l sf.(i)) sub_spine)
+        subs;
       {
         r_node = node;
         r_intensity = intensity;
@@ -817,28 +820,26 @@ let apply_replay ~max_parallel_factor decoded =
     decoded
 
 let rec run_on_schedule ?(mode = ia_ca) ?(engine = `Exhaustive) ?(jobs = 1)
-    ~max_parallel_factor sched =
-  let cache = Qor_cache.global () in
-  let h0, m0 = Qor_cache.counters cache in
+    ?store ~max_parallel_factor sched =
   let nodes = List.filter Hida_d.is_node (Block.ops (Hida_d.node_block sched)) in
-  let replay_key =
-    Printf.sprintf "sched#%s#%s#%d#%s" (mode_name mode) (engine_tag engine)
-      max_parallel_factor
-      (Qor_cache.signature cache sched)
+  (* With a store, the whole outcome is keyed on the schedule's
+     pre-mutation signature; without one no signature is computed. *)
+  let replay =
+    Option.map
+      (fun st ->
+        ( st,
+          Printf.sprintf "sched#%s#%s#%d#%s" (mode_name mode) (engine_tag engine)
+            max_parallel_factor (Qor_cache.signature sched) ))
+      store
   in
-  match try_replay cache ~key:replay_key nodes with
-  | Some decoded ->
-      let results = apply_replay ~max_parallel_factor decoded in
-      Qor_cache.invalidate_signatures cache;
-      let h1, m1 = Qor_cache.counters cache in
-      Obs.count "qor.cache.hits" (h1 - h0);
-      Obs.count "qor.cache.misses" (m1 - m0);
-      results
-  | None -> run_on_schedule_fresh ~mode ~engine ~jobs ~max_parallel_factor
-      ~cache ~counters0:(h0, m0) ~replay_key ~nodes sched
+  match Option.bind replay (fun (st, key) -> try_replay st ~key nodes) with
+  | Some decoded -> apply_replay ~max_parallel_factor decoded
+  | None ->
+      run_on_schedule_fresh ~mode ~engine ~jobs ?store ~replay
+        ~max_parallel_factor ~nodes sched
 
-and run_on_schedule_fresh ~mode ~engine ~jobs ~max_parallel_factor ~cache
-    ~counters0:(h0, m0) ~replay_key ~nodes sched =
+and run_on_schedule_fresh ~mode ~engine ~jobs ?store ~replay
+    ~max_parallel_factor ~nodes sched =
   (* Cap the requested parallelism by what the shared domain pool can
      actually provide: [hida-serve] workers each compiling with
      [--jobs M] would otherwise oversubscribe the host with N×M
@@ -888,6 +889,9 @@ and run_on_schedule_fresh ~mode ~engine ~jobs ~max_parallel_factor ~cache
   let parallelized : (int, int array) Hashtbl.t = Hashtbl.create 16 in
   let outcomes : (int, node_task * node_outcome) Hashtbl.t = Hashtbl.create 16 in
   let levels = level_schedule ~order ~connections in
+  (* Search slots by key, across all levels: a search identical to one
+     of an earlier level (or of this one) shares that leader's result. *)
+  let seen = Hashtbl.create 16 in
   List.iteri
     (fun li level_nodes ->
       let tasks =
@@ -900,7 +904,7 @@ and run_on_schedule_fresh ~mode ~engine ~jobs ~max_parallel_factor ~cache
         (fun (t, o) ->
           Hashtbl.replace parallelized t.t_node.o_id o.o_factors;
           Hashtbl.replace outcomes t.t_node.o_id (t, o))
-        (execute_level cache engine ~jobs ~level_index:li tasks))
+        (execute_level ?store engine ~seen ~jobs ~level_index:li tasks))
     levels;
   (* Deterministic merge, in the sequential search order: apply the
      unroll directives and publish metrics and remarks exactly as the
@@ -950,29 +954,24 @@ and run_on_schedule_fresh ~mode ~engine ~jobs ~max_parallel_factor ~cache
   in
   (* Persist the schedule-level replay entries under the pre-mutation
      signature, so an identical schedule skips straight to the merge. *)
-  let pos_of = Hashtbl.create 16 in
-  List.iteri (fun i (n : op) -> Hashtbl.replace pos_of n.o_id i) nodes;
-  List.iteri
-    (fun rank node ->
-      let task, out = Hashtbl.find outcomes node.o_id in
-      Qor_cache.store_factors cache
-        (Printf.sprintf "%s#%d" replay_key rank)
-        (encode_replay ~pos:(Hashtbl.find pos_of node.o_id) task out))
-    order;
-  Qor_cache.store_factors cache (replay_key ^ "#meta")
-    [| List.length nodes |];
-  (* Unroll attributes were just mutated: op-identity signature memos in
-     the estimator cache are stale now. *)
-  Qor_cache.invalidate_signatures cache;
-  let h1, m1 = Qor_cache.counters cache in
-  Obs.count "qor.cache.hits" (h1 - h0);
-  Obs.count "qor.cache.misses" (m1 - m0);
+  Option.iter
+    (fun (st, key) ->
+      let pos_of = Hashtbl.create 16 in
+      List.iteri (fun i (n : op) -> Hashtbl.replace pos_of n.o_id i) nodes;
+      List.iteri
+        (fun rank node ->
+          let task, out = Hashtbl.find outcomes node.o_id in
+          Qor_cache.store_factors st
+            (Printf.sprintf "%s#%d" key rank)
+            (encode_replay ~pos:(Hashtbl.find pos_of node.o_id) task out))
+        order;
+      Qor_cache.store_factors st (key ^ "#meta") [| List.length nodes |])
+    replay;
   results
 
 (* Parallelize a bare loop nest (single-loop-nest kernels present no
    dataflow opportunities but still undergo intra-node DSE). *)
-let run_on_nest ~max_parallel_factor nest =
-  let cache = Qor_cache.global () in
+let run_on_nest ?store ~max_parallel_factor nest =
   let spine = Intensity.spine_of nest in
   let dims = dims_of_spine nest spine in
   let stats = { Dse.proposed = 0; valid = 0 } in
@@ -980,7 +979,7 @@ let run_on_nest ~max_parallel_factor nest =
     Obs.span ~cat:"dse"
       (Printf.sprintf "dse:nest%d" nest.o_id)
       (fun () ->
-        cached_search cache `Exhaustive ~constraints:[] ~ctx:[] ~dims
+        cached_search ?store `Exhaustive ~constraints:[] ~ctx:[] ~dims
           ~parallel_factor:max_parallel_factor ~stats ())
   in
   Obs.count "dse.points_proposed" stats.Dse.proposed;
@@ -991,10 +990,9 @@ let run_on_nest ~max_parallel_factor nest =
   Obs.remark ~op:nest ~pass:pass_name Hida_obs.Remark.Remark
     "loop nest parallelized: unroll factors %s (parallel factor %d)"
     (factors_string factors) max_parallel_factor;
-  Qor_cache.invalidate_signatures cache;
   factors
 
-let run ?mode ?engine ?jobs ~max_parallel_factor root =
+let run ?mode ?engine ?jobs ?store ~max_parallel_factor root =
   let schedules = Walk.collect root ~pred:Hida_d.is_schedule in
   match schedules with
   | [] ->
@@ -1008,13 +1006,16 @@ let run ?mode ?engine ?jobs ~max_parallel_factor root =
               if Func_d.is_func root then Block.ops (Func_d.entry_block root)
               else [])
       in
-      List.iter (fun n -> ignore (run_on_nest ~max_parallel_factor n)) nests;
+      List.iter
+        (fun n -> ignore (run_on_nest ?store ~max_parallel_factor n))
+        nests;
       []
   | _ ->
       List.concat_map
-        (fun s -> run_on_schedule ?mode ?engine ?jobs ~max_parallel_factor s)
+        (fun s ->
+          run_on_schedule ?mode ?engine ?jobs ?store ~max_parallel_factor s)
         schedules
 
-let pass ?mode ?engine ?jobs ~max_parallel_factor () =
+let pass ?mode ?engine ?jobs ?store ~max_parallel_factor () =
   Pass.make ~name:"dataflow-parallelization" (fun root ->
-      ignore (run ?mode ?engine ?jobs ~max_parallel_factor root))
+      ignore (run ?mode ?engine ?jobs ?store ~max_parallel_factor root))

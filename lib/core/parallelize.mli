@@ -9,8 +9,9 @@
     permuted into this node's loop space.  The [mode] record realizes
     the four ablation groups of §7.3.
 
-    Per-node DSE results and per-candidate bank costs are memoized in
-    the process-wide [Qor_cache]; with [jobs > 1], nodes are grouped
+    With a [store], per-node DSE results and whole-schedule outcomes
+    are kept in it under content-addressed keys ([Qor_cache]) and reused
+    by later compiles; with [jobs > 1], nodes are grouped
     into levels of the connection graph and each level's searches run
     concurrently on OCaml 5 domains, with a deterministic merge that
     yields the same unroll factors (and the same printed IR) as the
@@ -89,19 +90,22 @@ val run_on_schedule :
   ?mode:mode ->
   ?engine:[ `Exhaustive | `Stochastic of int ] ->
   ?jobs:int ->
+  ?store:Hida_estimator.Blob_store.t ->
   max_parallel_factor:int ->
   Ir.op ->
   node_result list
 (** [jobs] (default 1) bounds the number of worker domains used per
     level; the result and the mutated IR are independent of it. *)
 
-val run_on_nest : max_parallel_factor:int -> Ir.op -> int array
+val run_on_nest :
+  ?store:Hida_estimator.Blob_store.t -> max_parallel_factor:int -> Ir.op -> int array
 (** Intra-node DSE on a bare loop nest (single-loop-nest kernels). *)
 
 val run :
   ?mode:mode ->
   ?engine:[ `Exhaustive | `Stochastic of int ] ->
   ?jobs:int ->
+  ?store:Hida_estimator.Blob_store.t ->
   max_parallel_factor:int ->
   Ir.op ->
   node_result list
@@ -110,6 +114,7 @@ val pass :
   ?mode:mode ->
   ?engine:[ `Exhaustive | `Stochastic of int ] ->
   ?jobs:int ->
+  ?store:Hida_estimator.Blob_store.t ->
   max_parallel_factor:int ->
   unit ->
   Pass.t

@@ -1,13 +1,10 @@
 (* Namespaced byte-budgeted LRU blob store (see the .mli).
 
-   The store generalizes the artifact store the compile server shipped
-   with: same byte budget + LRU discipline, but entries are namespaced
-   plain strings so the subtree-result tier (DSE search results,
-   candidate costs, node estimates) and whole-pipeline artifacts share
-   one budget.  Eviction is the amortized quarter-sweep of [Qor_cache]:
-   entry counts here reach the hundreds of thousands (per-candidate
-   cost entries), so the artifact store's O(n) min-scan per eviction
-   would be quadratic. *)
+   Entries are namespaced plain strings so the QoR store's subtree
+   results and whole-pipeline artifacts share one budget.  Eviction is
+   an amortized quarter-sweep: the QoR namespaces hold one entry per DSE
+   search and node estimate of every design compiled, so an O(n)
+   min-scan per eviction would be quadratic. *)
 
 type entry = {
   e_ns : string;
@@ -22,7 +19,7 @@ type t = {
   lock : Mutex.t;
   tbl : (string * string, entry) Hashtbl.t;
   ns_tbl : (string, ns_counts) Hashtbl.t;
-  mutable budget : int;
+  budget : int;
   mutable live_bytes : int;
   mutable tick : int;
   mutable evictions : int;
@@ -64,9 +61,6 @@ let create ?(budget_bytes = default_budget_bytes) () =
     tick = 0;
     evictions = 0;
   }
-
-let shared_store = lazy (create ())
-let shared () = Lazy.force shared_store
 
 let locked st f =
   Mutex.lock st.lock;
@@ -132,11 +126,6 @@ let add st ~ns ~key v =
         evict_over_locked st
       end)
 
-let set_budget st n =
-  locked st (fun () ->
-      st.budget <- max 1 n;
-      evict_over_locked st)
-
 let stats st =
   locked st (fun () ->
       let per_ns = Hashtbl.create 8 in
@@ -189,12 +178,10 @@ let stats st =
         s_namespaces = namespaces;
       })
 
-let clear st =
+let keys st ~ns =
   locked st (fun () ->
-      Hashtbl.reset st.tbl;
-      Hashtbl.reset st.ns_tbl;
-      st.live_bytes <- 0;
-      st.evictions <- 0)
+      Hashtbl.fold (fun (n, k) _ acc -> if n = ns then k :: acc else acc) st.tbl [])
+  |> List.sort compare
 
 (* ---- Persistence ----
 

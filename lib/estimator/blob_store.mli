@@ -1,11 +1,13 @@
 (** Namespaced, byte-budgeted, LRU blob store.
 
-    One mutex-guarded string store shared by every persistent cache
-    tier: the serve layer's whole-pipeline artifacts and the
-    subtree-result tier behind [Qor_cache] (DSE search results,
-    candidate costs, node estimates keyed by canonical content hashes)
-    live in one budget, so a long-running server trades artifact bytes
-    against subtree bytes instead of growing two unbounded tables.
+    One mutex-guarded string store for every persistent result: the
+    serve layer's whole-pipeline artifacts and the QoR store's
+    namespaces ([Qor_cache]: DSE search results, schedule and fusion
+    replays, node and design estimates keyed by canonical content
+    hashes) live in one budget, so a long-running server trades
+    artifact bytes against subtree bytes instead of growing two
+    unbounded tables.  Callers create and pass their store explicitly;
+    there is no process-wide instance.
 
     Entries are plain strings under (namespace, key); eviction drops
     the least-recently-used quarter once the byte budget is exceeded
@@ -21,19 +23,12 @@ val default_budget_bytes : int
 
 val create : ?budget_bytes:int -> unit -> t
 
-val shared : unit -> t
-(** The process-wide store shared by the artifact cache and the
-    subtree tier. *)
-
 val find : t -> ns:string -> string -> string option
 (** LRU-bumping lookup; counts a per-namespace hit or miss. *)
 
 val add : t -> ns:string -> key:string -> string -> unit
 (** Insert (replacing any previous value) and evict down to the budget.
     A value larger than the whole budget is not stored. *)
-
-val set_budget : t -> int -> unit
-(** Also evicts immediately down to the new budget. *)
 
 type ns_stats = {
   ns_name : string;
@@ -54,7 +49,9 @@ type stats = {
 }
 
 val stats : t -> stats
-val clear : t -> unit
+
+val keys : t -> ns:string -> string list
+(** Every key of one namespace, sorted (no LRU bump, no counters). *)
 
 (* ---- Persistence ---- *)
 

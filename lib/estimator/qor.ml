@@ -571,23 +571,10 @@ let stage_levels nodes edges =
   done;
   level
 
-(* Node-estimate memoization hook.  [Qor_cache] installs a closure here
-   (a hook rather than a direct call to avoid a dependency cycle: the
-   cache layer keys entries on structural signatures computed with this
-   module's access analysis).  The hook receives the device, the
-   binding environment, the node and a thunk computing the fresh
-   estimate, and may serve the result from a content-addressed cache.
-   The default is the identity: estimation is uncached. *)
-let node_memo_hook :
-    (Device.t ->
-    bindings:(value * value) list ->
-    op ->
-    (unit -> node_est) ->
-    node_est)
-    ref =
-  ref (fun _dev ~bindings:_ _n compute -> compute ())
+type node_memo =
+  Device.t -> bindings:(value * value) list -> op -> (unit -> node_est) -> node_est
 
-let rec estimate_schedule (dev : Device.t) sched =
+let rec estimate_schedule ?memo (dev : Device.t) sched =
   let nodes, edges = schedule_edges sched in
   (* A buffer written by several nodes cannot be pipelined safely: to
      preserve correctness the whole dataflow executes sequentially until
@@ -610,7 +597,7 @@ let rec estimate_schedule (dev : Device.t) sched =
     List.map
       (fun n ->
         let inner_bindings = Hida_d.node_bindings n @ bindings in
-        (n, estimate_node_or_nested dev ~bindings:inner_bindings n))
+        (n, estimate_node_or_nested ?memo dev ~bindings:inner_bindings n))
       nodes
   in
   let max_lat =
@@ -704,36 +691,38 @@ let rec estimate_schedule (dev : Device.t) sched =
 
 (* A node may contain a nested schedule (hierarchical dataflow); otherwise
    estimate its loop nest directly. *)
-and estimate_node_or_nested dev ~bindings n =
-  !node_memo_hook dev ~bindings n (fun () ->
-      estimate_node_or_nested_fresh dev ~bindings n)
-
-and estimate_node_or_nested_fresh dev ~bindings n =
-  match Walk.find n ~pred:(fun o -> Hida_d.is_schedule o && not (Op.equal o n)) with
-  | Some nested ->
-      let lat, interval, res, macs = estimate_schedule dev nested in
-      (* A schedule nested under loops inside the node (hierarchical
-         dataflow) re-runs once per enclosing iteration. *)
-      let reps =
-        List.fold_left
-          (fun acc l ->
-            if Op.is_ancestor ~ancestor:n l then acc * max 1 (Affine_d.trip_count l)
-            else acc)
-          1
-          (List.filter Affine_d.is_for (Op.ancestors nested))
-      in
-      {
-        n_latency = lat + (interval * (reps - 1));
-        n_interval = interval * reps;
-        n_resource = res;
-        n_macs_per_frame = macs * reps;
-      }
-  | None -> estimate_node dev ~bindings n
+and estimate_node_or_nested ?memo dev ~bindings n =
+  let fresh () =
+    match
+      Walk.find n ~pred:(fun o -> Hida_d.is_schedule o && not (Op.equal o n))
+    with
+    | Some nested ->
+        let lat, interval, res, macs = estimate_schedule ?memo dev nested in
+        (* A schedule nested under loops inside the node (hierarchical
+           dataflow) re-runs once per enclosing iteration. *)
+        let reps =
+          List.fold_left
+            (fun acc l ->
+              if Op.is_ancestor ~ancestor:n l then
+                acc * max 1 (Affine_d.trip_count l)
+              else acc)
+            1
+            (List.filter Affine_d.is_for (Op.ancestors nested))
+        in
+        {
+          n_latency = lat + (interval * (reps - 1));
+          n_interval = interval * reps;
+          n_resource = res;
+          n_macs_per_frame = macs * reps;
+        }
+    | None -> estimate_node dev ~bindings n
+  in
+  match memo with None -> fresh () | Some m -> m dev ~bindings n fresh
 
 (* Estimate a whole function.  If it contains a top-level schedule, the
    design is a dataflow design; otherwise nodes are the outermost loop
    nests, executed sequentially. *)
-let estimate_func (dev : Device.t) ?(batch = 1) func =
+let estimate_func ?memo (dev : Device.t) ?(batch = 1) func =
   let body = Func_d.entry_block func in
   let buffers =
     Walk.collect func ~pred:(fun op -> Hida_d.is_buffer op)
@@ -756,13 +745,13 @@ let estimate_func (dev : Device.t) ?(batch = 1) func =
   in
   let lat, interval, node_res, macs =
     match List.find_opt Hida_d.is_schedule (Block.ops body) with
-    | Some sched -> estimate_schedule dev sched
+    | Some sched -> estimate_schedule ?memo dev sched
     | None ->
         (* Sequential: each outermost loop nest is one stage (a nest may
            wrap a nested schedule — hierarchical dataflow). *)
         let nests = Affine_d.outermost_loops func in
         let ests =
-          List.map (fun l -> estimate_node_or_nested dev ~bindings:[] l) nests
+          List.map (fun l -> estimate_node_or_nested ?memo dev ~bindings:[] l) nests
         in
         let total = List.fold_left (fun acc e -> acc + e.n_latency) 0 ests in
         let res = Resource.sum (List.map (fun e -> e.n_resource) ests) in

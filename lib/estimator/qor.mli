@@ -109,30 +109,26 @@ val estimate_node :
     efficiency from the ["tile_size"] directive, and replicated-datapath
     resources. *)
 
-val estimate_node_or_nested :
-  Device.t -> bindings:(Ir.value * Ir.value) list -> Ir.op -> node_est
-(** Like {!estimate_node}, but a node containing a nested schedule is
-    estimated as the nested dataflow design (hierarchical dataflow).
-    Routed through {!node_memo_hook} when a cache is installed. *)
-
-val estimate_node_or_nested_fresh :
-  Device.t -> bindings:(Ir.value * Ir.value) list -> Ir.op -> node_est
-(** {!estimate_node_or_nested} bypassing the memoization hook (always a
-    fresh computation; inner nodes of a nested schedule still go through
-    the hook). *)
-
-val node_memo_hook :
-  (Device.t ->
+type node_memo =
+  Device.t ->
   bindings:(Ir.value * Ir.value) list ->
   Ir.op ->
   (unit -> node_est) ->
-  node_est)
-  ref
-(** Memoization hook consulted by {!estimate_node_or_nested}: receives
-    the device, bindings, node and the thunk computing the fresh
-    estimate.  Installed by [Qor_cache.install]; the default is the
-    identity (no caching).  Kept as a hook to avoid a dependency cycle
-    between the estimator and its cache layer. *)
+  node_est
+(** A node-estimate memo: receives the device, bindings, node and the
+    thunk computing the fresh estimate, and may serve the result from a
+    store instead ([Qor_cache.node_memo]). *)
+
+val estimate_node_or_nested :
+  ?memo:node_memo ->
+  Device.t ->
+  bindings:(Ir.value * Ir.value) list ->
+  Ir.op ->
+  node_est
+(** Like {!estimate_node}, but a node containing a nested schedule is
+    estimated as the nested dataflow design (hierarchical dataflow).
+    Every node, nested ones included, goes through [memo] when given;
+    without one every estimate is computed fresh. *)
 
 (** {1 Design estimation} *)
 
@@ -153,10 +149,12 @@ val stage_levels :
   Ir.op list -> (Ir.op * Ir.op * Ir.value) list -> (int, int) Hashtbl.t
 (** Longest-path pipeline stage level per node id. *)
 
-val estimate_schedule : Device.t -> Ir.op -> int * int * Resource.t * int
+val estimate_schedule :
+  ?memo:node_memo -> Device.t -> Ir.op -> int * int * Resource.t * int
 (** (latency, interval, resource, macs) of one schedule. *)
 
-val estimate_func : Device.t -> ?batch:int -> Ir.op -> design_est
+val estimate_func :
+  ?memo:node_memo -> Device.t -> ?batch:int -> Ir.op -> design_est
 (** Estimate a whole function: its top-level schedule as a dataflow
     design, or its loose loop nests sequentially.  DSP overflow beyond
     the device is re-mapped to LUT MACs (the paper's >100% efficiency

@@ -1,348 +1,40 @@
-(* Memoized QoR estimation layer.
+(* Store-backed QoR memoization: content-addressed keys and the value
+   codecs of the [qor.*] namespaces of a caller-owned [Blob_store].
 
-   Estimation results are cached under content-addressed keys: the
-   structural signature of a node (its op tree, attributes — which carry
-   every directive: unroll, pipeline/II, tile_size, partition — result
-   types, and the resolved descriptors of the outer buffers it touches)
-   plus, for DSE-time entries, the candidate unroll factors.  A hit is
-   therefore always semantically valid: two subtrees with equal
-   signatures have equal estimates by construction, no matter how the
-   IR got there.
+   The module holds no state: the estimator and a DSE candidate
+   evaluation are cheap enough that an in-process memo costs about what
+   it saves (hashing a key costs as much as the computation), so results
+   are memoized only in the store, where reusing unchanged subtrees pays
+   across compiles.  The store keeps its own lock and byte-budget LRU.
 
-   Two kinds of tables with different invalidation rules:
-
-   - value tables (node estimate / candidate cost / DSE result) are
-     keyed purely by content and survive IR mutation — a mutated node
-     simply produces a new signature and misses;
-   - the signature memo is keyed by op identity (computing a signature
-     walks the subtree, so it is itself worth caching across the many
-     per-candidate keys derived from one node) and MUST be invalidated
-     when the IR mutates: {!invalidate_signatures} bumps a generation
-     that lazily evicts every identity-keyed entry.  The driver wires
-     this to the pass manager (each pass may mutate the IR) and the
-     parallelizer calls it after applying unroll factors.
-
-   All tables are guarded by one mutex so the cache can be shared by
-   the level-scheduled DSE worker domains.  That mutex is the prime
-   suspect for the parallel-DSE slowdown, so every acquisition is
-   instrumented: a try_lock fast path counts uncontended entries for
-   free, and only a blocked acquisition pays for two clock reads and a
-   histogram sample.  Counters live in per-domain records (written only
-   by their owning domain, summed at report time), so the
-   instrumentation itself adds no shared-cache-line traffic on the hot
-   path. *)
+   Values are plain delimiter-joined strings ("%h" floats, so the round
+   trip is exact).  A value that fails to decode is counted as
+   [incr.cache.corrupt] and read as a miss: the result is recomputed
+   and the entry overwritten, so a damaged store can cost time but never
+   change a design. *)
 
 open Hida_ir
 open Ir
 
-type domain_stats = {
-  ds_domain : int;
-  mutable ds_hits : int;
-  mutable ds_misses : int;
-  mutable ds_acquires : int;
-  mutable ds_blocked : int;
-  mutable ds_wait_ns : int;
-}
-
-type lock_stats = { lc_acquires : int; lc_blocked : int; lc_wait_ns : int }
-
-(* Value-table entries carry a last-use stamp so a long-lived process (a
-   compile server, notably) can evict least-recently-used entries once
-   the table count crosses [entry_limit] — unbounded content-addressed
-   growth is otherwise a slow leak, since mutated IR keeps minting fresh
-   signatures forever. *)
-type 'a slot = { sv : 'a; mutable stamp : int }
-
-type t = {
-  uid : int;
-  lock : Mutex.t;
-  mutable generation : int;
-  sig_memo : (int * int, int * string) Hashtbl.t;
-      (* (op id, bindings fingerprint) -> (generation, signature) *)
-  node_tbl : (string, Qor.node_est slot) Hashtbl.t;
-  float_tbl : (string, float slot) Hashtbl.t;
-  factors_tbl : (string, int array slot) Hashtbl.t;
-  mutable backing : Blob_store.t option;
-      (* persistent subtree-result tier: probed on in-memory misses,
-         written through on stores (see "Persistent backing" below) *)
-  mutable sub_hits : int;
-  mutable sub_misses : int;
-  mutable hits : int;
-  mutable misses : int;
-  mutable tick : int; (* LRU clock: bumped on every value access *)
-  mutable entry_limit : int;
-  mutable evicted : int;
-  stats_lock : Mutex.t; (* guards stats_gen + stats_rev registration *)
-  mutable stats_gen : int;
-  mutable stats_rev : domain_stats list;
-  mutable wait_hist : Hida_obs.Histogram.t;
-}
-
-let next_uid = Atomic.make 0
-let default_entry_limit = 262_144
-
-let create () =
-  {
-    uid = Atomic.fetch_and_add next_uid 1;
-    lock = Mutex.create ();
-    generation = 0;
-    sig_memo = Hashtbl.create 64;
-    node_tbl = Hashtbl.create 64;
-    float_tbl = Hashtbl.create 256;
-    factors_tbl = Hashtbl.create 64;
-    backing = None;
-    sub_hits = 0;
-    sub_misses = 0;
-    hits = 0;
-    misses = 0;
-    tick = 0;
-    entry_limit = default_entry_limit;
-    evicted = 0;
-    stats_lock = Mutex.create ();
-    stats_gen = 0;
-    stats_rev = [];
-    wait_hist = Hida_obs.Histogram.create ();
-  }
-
-let global_cache = create ()
-let global () = global_cache
-
-(* ---- Per-domain contention records ----
-
-   Each domain touching a cache gets its own counter record, found via
-   DLS keyed by (cache uid, stats generation); the generation bumps on
-   [clear] so reset caches hand out fresh records instead of resurrecting
-   pre-clear counts.  Records are only ever written by their owning
-   domain; readers sum them after the workers have joined. *)
-
-let dls_stats : (int * int * domain_stats) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let local_stats t =
-  let r = Domain.DLS.get dls_stats in
-  let gen = t.stats_gen in
-  let rec find = function
-    | (u, g, ds) :: _ when u = t.uid && g = gen -> Some ds
-    | _ :: tl -> find tl
-    | [] -> None
-  in
-  match find !r with
-  | Some ds -> ds
-  | None ->
-      let ds =
-        {
-          ds_domain = (Domain.self () :> int);
-          ds_hits = 0;
-          ds_misses = 0;
-          ds_acquires = 0;
-          ds_blocked = 0;
-          ds_wait_ns = 0;
-        }
-      in
-      Mutex.lock t.stats_lock;
-      (* A clear may have raced us: re-check the generation under the
-         lock so the record lands in the list it is keyed against. *)
-      let gen = t.stats_gen in
-      t.stats_rev <- ds :: t.stats_rev;
-      Mutex.unlock t.stats_lock;
-      let kept =
-        List.filteri
-          (fun i (u, _, _) -> u <> t.uid && i < 15)
-          !r
-      in
-      r := (t.uid, gen, ds) :: kept;
-      ds
-
-(* Timed acquisition of the table mutex: try_lock first (uncontended
-   path costs one CAS), measure the wait only when actually blocked. *)
-let acquire t =
-  let ds = local_stats t in
-  ds.ds_acquires <- ds.ds_acquires + 1;
-  if not (Mutex.try_lock t.lock) then begin
-    let t0 = Hida_obs.Clock.now_ns () in
-    Mutex.lock t.lock;
-    let dt = Hida_obs.Clock.now_ns () - t0 in
-    ds.ds_blocked <- ds.ds_blocked + 1;
-    ds.ds_wait_ns <- ds.ds_wait_ns + dt;
-    Hida_obs.Histogram.record t.wait_hist dt
-  end;
-  ds
-
-let release t = Mutex.unlock t.lock
-
-let per_domain t =
-  Mutex.lock t.stats_lock;
-  let records = t.stats_rev in
-  Mutex.unlock t.stats_lock;
-  (* Domain ids are reused once a domain joins, so records sharing an id
-     are merged (they never ran concurrently). *)
-  let merged = Hashtbl.create 8 in
-  List.iter
-    (fun ds ->
-      match Hashtbl.find_opt merged ds.ds_domain with
-      | None ->
-          Hashtbl.replace merged ds.ds_domain
-            {
-              ds_domain = ds.ds_domain;
-              ds_hits = ds.ds_hits;
-              ds_misses = ds.ds_misses;
-              ds_acquires = ds.ds_acquires;
-              ds_blocked = ds.ds_blocked;
-              ds_wait_ns = ds.ds_wait_ns;
-            }
-      | Some acc ->
-          acc.ds_hits <- acc.ds_hits + ds.ds_hits;
-          acc.ds_misses <- acc.ds_misses + ds.ds_misses;
-          acc.ds_acquires <- acc.ds_acquires + ds.ds_acquires;
-          acc.ds_blocked <- acc.ds_blocked + ds.ds_blocked;
-          acc.ds_wait_ns <- acc.ds_wait_ns + ds.ds_wait_ns)
-    records;
-  Hashtbl.fold (fun _ ds acc -> ds :: acc) merged []
-  |> List.sort (fun a b -> compare a.ds_domain b.ds_domain)
-
-let contention t =
-  List.fold_left
-    (fun acc ds ->
-      {
-        lc_acquires = acc.lc_acquires + ds.ds_acquires;
-        lc_blocked = acc.lc_blocked + ds.ds_blocked;
-        lc_wait_ns = acc.lc_wait_ns + ds.ds_wait_ns;
-      })
-    { lc_acquires = 0; lc_blocked = 0; lc_wait_ns = 0 }
-    (per_domain t)
-
-let wait_histogram t = t.wait_hist
-
-let counters t =
-  ignore (acquire t);
-  let r = (t.hits, t.misses) in
-  release t;
-  r
-
-let size t =
-  ignore (acquire t);
-  let r =
-    Hashtbl.length t.node_tbl + Hashtbl.length t.float_tbl
-    + Hashtbl.length t.factors_tbl
-  in
-  release t;
-  r
-
-let invalidate_signatures t =
-  ignore (acquire t);
-  t.generation <- t.generation + 1;
-  (* Stale entries are ignored by lookups; drop them eagerly when the
-     memo has grown, so long sessions do not leak op-identity entries. *)
-  if Hashtbl.length t.sig_memo > 4096 then Hashtbl.reset t.sig_memo;
-  release t
-
-(* ---- LRU eviction under an entry budget ----
-
-   Called with the table lock held after every store.  When the three
-   value tables together exceed the limit, drop the least-recently-used
-   quarter (down to 3/4 of the limit), so eviction work is amortized:
-   one O(n log n) sweep per n/4 insertions.  Stamps are unique (the
-   clock only ticks under the lock), making the cutoff exact. *)
-let live_entries t =
-  Hashtbl.length t.node_tbl + Hashtbl.length t.float_tbl
-  + Hashtbl.length t.factors_tbl
-
-let evict_over_locked t limit =
-  let total = live_entries t in
-  if total > limit then begin
-    let target = limit * 3 / 4 in
-    let stamps = Array.make total 0 in
-    let i = ref 0 in
-    let note _ (s : _ slot) =
-      stamps.(!i) <- s.stamp;
-      incr i
-    in
-    Hashtbl.iter note t.node_tbl;
-    Hashtbl.iter note t.float_tbl;
-    Hashtbl.iter note t.factors_tbl;
-    Array.sort compare stamps;
-    (* Evict every entry stamped at or below the (total-target)-th
-       oldest stamp. *)
-    let cutoff = stamps.(total - target - 1) in
-    let sweep : 'a. (string, 'a slot) Hashtbl.t -> unit =
-     fun tbl ->
-      let doomed =
-        Hashtbl.fold
-          (fun k (s : _ slot) acc -> if s.stamp <= cutoff then k :: acc else acc)
-          tbl []
-      in
-      List.iter (Hashtbl.remove tbl) doomed
-    in
-    sweep t.node_tbl;
-    sweep t.float_tbl;
-    sweep t.factors_tbl;
-    t.evicted <- t.evicted + (total - live_entries t)
-  end
-
-let set_entry_limit t n =
-  ignore (acquire t);
-  t.entry_limit <- max 1 n;
-  evict_over_locked t t.entry_limit;
-  release t
-
-let entry_limit t =
-  ignore (acquire t);
-  let r = t.entry_limit in
-  release t;
-  r
-
-let evictions t =
-  ignore (acquire t);
-  let r = t.evicted in
-  release t;
-  r
-
-(* Detach every per-domain DLS contention record and zero the aggregate
-   view, without touching the memo tables.  Bumping [stats_gen] makes
-   each domain — including persistent pool workers that outlive any
-   single compile — mint a fresh record keyed against the new
-   generation on its next cache access, so measurement sweeps (the
-   profile bench) start each measured run from zero instead of
-   inheriting counts from warm-up or earlier sweep points. *)
-let reset_stats t =
-  Mutex.lock t.stats_lock;
-  t.stats_gen <- t.stats_gen + 1;
-  t.stats_rev <- [];
-  t.wait_hist <- Hida_obs.Histogram.create ();
-  Mutex.unlock t.stats_lock
-
-(* [clear] is a cold start for the in-memory tables only: the backing
-   store (when attached) is the cross-process tier and deliberately
-   survives, so a bench can clear the tables between runs and still
-   measure persistent reuse. *)
-let clear t =
-  Mutex.lock t.lock;
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.sig_memo;
-  Hashtbl.reset t.node_tbl;
-  Hashtbl.reset t.float_tbl;
-  Hashtbl.reset t.factors_tbl;
-  t.hits <- 0;
-  t.misses <- 0;
-  t.sub_hits <- 0;
-  t.sub_misses <- 0;
-  t.evicted <- 0;
-  Mutex.unlock t.lock;
-  reset_stats t
-
 (* ---- Structural signatures ----
 
-   The canonical walk itself lives in [Hida_ir.Subtree] — one walker
-   shared by every cache tier (estimation here, isomorphic-block
-   stamping in the lowering stage).  This layer adds the two pieces
-   the estimator needs on top: binding resolution (inner task values
-   chased back to the outer buffers they alias) and the ancestor-context
-   prefix. *)
+   The canonical walk lives in [Hida_ir.Subtree], shared with the
+   isomorphic-block stamping of the lowering stage.  The estimator adds
+   binding resolution (inner task values chased back to the outer
+   buffers they alias) and the ancestor-context prefix. *)
 
 let compute_signature ~bindings (root : op) =
-  let btable = List.map (fun (outer, inner) -> (inner.v_id, outer)) bindings in
+  (* A table, not an association list: the walk resolves every value use
+     and a schedule binds dozens of values.  The first binding of a value
+     wins, as with [List.assoc]. *)
+  let btable = Hashtbl.create 64 in
+  List.iter
+    (fun ((outer : value), (inner : value)) ->
+      if not (Hashtbl.mem btable inner.v_id) then
+        Hashtbl.add btable inner.v_id outer)
+    bindings;
   let rec resolve v =
-    match List.assoc_opt v.v_id btable with
+    match Hashtbl.find_opt btable v.v_id with
     | Some outer when not (Value.equal outer v) -> resolve outer
     | _ -> v
   in
@@ -366,75 +58,58 @@ let compute_signature ~bindings (root : op) =
   Subtree.signature_into buf ~resolve ~describe_free:Subtree.describe_full root;
   Buffer.contents buf
 
-let bindings_fingerprint bindings =
-  List.fold_left
-    (fun acc ((o : value), (i : value)) -> ((acc * 31) + o.v_id) * 31 + i.v_id)
-    17 bindings
+(* A fixed-width digest, not the raw canonical string: subtree
+   signatures reach tens of kilobytes on real models, and derived keys
+   ("<sig>#<rank>") would share that entire prefix.  32 hex chars keep
+   lookups and the persistent store flat. *)
+let signature ?(bindings = []) op =
+  Digest.to_hex (Digest.string (compute_signature ~bindings op))
 
-let signature t ?(bindings = []) op =
-  let key = (op.o_id, bindings_fingerprint bindings) in
-  ignore (acquire t);
-  match Hashtbl.find_opt t.sig_memo key with
-  | Some (gen, s) when gen = t.generation ->
-      release t;
-      s
-  | _ ->
-      let gen = t.generation in
-      release t;
-      (* A fixed-width digest, not the raw canonical string: subtree
-         signatures reach tens of kilobytes on real models, and derived
-         keys ("<sig>#<rank>") would share that entire prefix — hashing
-         samples the shared head (every key collides into one bucket)
-         while equality compares to the differing tail, turning each
-         probe into megabytes of memcmp.  32 hex chars keep lookups,
-         memory and the persistent store flat. *)
-      let s = Digest.to_hex (Digest.string (compute_signature ~bindings op)) in
-      ignore (acquire t);
-      (* Only publish under the generation read before computing: an
-         invalidation that raced the walk keeps the entry stale. *)
-      Hashtbl.replace t.sig_memo key (gen, s);
-      release t;
-      s
+(* MD5 (stdlib [Digest]) is ample for content addressing: collisions
+   would need 2^64 artifacts. *)
+let artifact_signature ~source ~options =
+  Digest.to_hex (Digest.string (source ^ "\x00" ^ options))
 
-(* ---- Persistent backing (the subtree-result tier) ----
+(* ---- Store traffic ---- *)
 
-   When a [Blob_store] is attached, every content-addressed table gains
-   a second level: an in-memory miss probes the store, and every store
-   writes through.  Because the keys are canonical content hashes —
-   node signature + device, DSE search key, schedule-replay key — a
-   backing hit is exactly as valid as an in-memory hit, and because the
-   entry points below are the only way the parallelizer and estimator
-   reach results, attaching a store makes every unchanged subtree's
-   fused/balanced/DSE'd outcome reusable across processes
-   ([hida_compile --incr-cache]) and across server requests
-   ([hida-serve], which attaches the shared artifact store) with no
-   changes at the call sites.  Probes happen at plan-time points that
-   are deterministic in the input, so results — and therefore output
-   IR — stay byte-identical across [--jobs] settings.
-
-   Values are encoded as plain delimiter-joined strings ("%h" floats,
-   so the round trip is exact).  Store traffic happens outside the
-   table mutex: the blob store has its own lock, and nesting the two
-   would put marshal-sized copies inside the DSE hot path's critical
-   section. *)
-
-let ns_float = "qor.float"
-let ns_factors = "qor.factors"
 let ns_node = "qor.node"
+let ns_factors = "qor.factors"
 let ns_replay = "qor.replay"
+let ns_design = "qor.design"
 
-let enc_float v = Printf.sprintf "%h" v
-let dec_float s = float_of_string_opt s
+let find store ~ns ~dec key =
+  match Blob_store.find store ~ns key with
+  | None ->
+      Hida_obs.Scope.count "incr.subtree.misses" 1;
+      None
+  | Some s -> (
+      match dec s with
+      | Some v ->
+          Hida_obs.Scope.count "incr.subtree.hits" 1;
+          Some v
+      | None ->
+          Hida_obs.Scope.count "incr.cache.corrupt" 1;
+          Hida_obs.Scope.count "incr.subtree.misses" 1;
+          None)
+
+let memo store ~ns ~enc ~dec key compute =
+  match find store ~ns ~dec key with
+  | Some v -> v
+  | None ->
+      let v = compute () in
+      Blob_store.add store ~ns ~key (enc v);
+      v
+
+let ints fields = try Some (List.map int_of_string fields) with Failure _ -> None
+let ints_of_string sep s = ints (String.split_on_char sep s)
+
+(* ---- Codecs ---- *)
 
 let enc_factors (a : int array) =
   String.concat "," (Array.to_list (Array.map string_of_int a))
 
 let dec_factors s =
-  if s = "" then Some [||]
-  else
-    try
-      Some (Array.of_list (List.map int_of_string (String.split_on_char ',' s)))
-    with _ -> None
+  if s = "" then Some [||] else Option.map Array.of_list (ints_of_string ',' s)
 
 let enc_node (e : Qor.node_est) =
   let r = e.Qor.n_resource in
@@ -443,149 +118,36 @@ let enc_node (e : Qor.node_est) =
     r.Resource.bram18
 
 let dec_node s =
-  match String.split_on_char ';' s with
-  | [ lat; int_; macs; luts; ffs; dsps; bram ] -> (
-      try
-        Some
-          {
-            Qor.n_latency = int_of_string lat;
-            n_interval = int_of_string int_;
-            n_macs_per_frame = int_of_string macs;
-            n_resource =
-              {
-                Resource.luts = int_of_string luts;
-                ffs = int_of_string ffs;
-                dsps = int_of_string dsps;
-                bram18 = int_of_string bram;
-              };
-          }
-      with _ -> None)
+  match ints_of_string ';' s with
+  | Some [ lat; interval; macs; luts; ffs; dsps; bram18 ] ->
+      Some
+        {
+          Qor.n_latency = lat;
+          n_interval = interval;
+          n_macs_per_frame = macs;
+          n_resource = { Resource.luts; ffs; dsps; bram18 };
+        }
   | _ -> None
 
-let set_backing t bs =
-  ignore (acquire t);
-  t.backing <- bs;
-  release t
+let enc_steps steps =
+  String.concat ";"
+    (List.map (fun (kind, i, j) -> Printf.sprintf "%s,%d,%d" kind i j) steps)
 
-let backing t =
-  ignore (acquire t);
-  let r = t.backing in
-  release t;
-  r
-
-let subtree_counters t =
-  ignore (acquire t);
-  let r = (t.sub_hits, t.sub_misses) in
-  release t;
-  r
-
-let bump_sub t hit =
-  ignore (acquire t);
-  if hit then t.sub_hits <- t.sub_hits + 1 else t.sub_misses <- t.sub_misses + 1;
-  release t
-
-(* Probe the backing tier after an in-memory miss; [None] when no store
-   is attached (no counter traffic either, so cold compiles without
-   [--incr-cache] report zero subtree probes). *)
-let backing_find t ~ns ~dec key =
-  match backing t with
-  | None -> None
-  | Some bs -> (
-      match Option.bind (Blob_store.find bs ~ns key) dec with
-      | Some v ->
-          bump_sub t true;
-          Some v
-      | None ->
-          bump_sub t false;
-          None)
-
-let backing_add t ~ns ~enc key v =
-  match backing t with
-  | None -> ()
-  | Some bs -> Blob_store.add bs ~ns ~key (enc v)
-
-(* ---- Memoized lookups ---- *)
-
-let find_generic t tbl key =
-  let ds = acquire t in
-  let r = Hashtbl.find_opt tbl key in
-  let r =
-    match r with
-    | Some slot ->
-        t.hits <- t.hits + 1;
-        ds.ds_hits <- ds.ds_hits + 1;
-        (* LRU touch. *)
-        t.tick <- t.tick + 1;
-        slot.stamp <- t.tick;
-        Some slot.sv
-    | None ->
-        t.misses <- t.misses + 1;
-        ds.ds_misses <- ds.ds_misses + 1;
-        None
+let dec_steps s =
+  let step st =
+    match String.split_on_char ',' st with
+    | [ kind; i; j ] -> (
+        match (int_of_string_opt i, int_of_string_opt j) with
+        | Some i, Some j when 0 <= i && i < j -> Some (kind, i, j)
+        | _ -> None)
+    | _ -> None
   in
-  release t;
-  r
-
-let store_generic t tbl key v =
-  ignore (acquire t);
-  t.tick <- t.tick + 1;
-  Hashtbl.replace tbl key { sv = v; stamp = t.tick };
-  evict_over_locked t t.entry_limit;
-  release t
-
-let memo_float t key compute =
-  match find_generic t t.float_tbl key with
-  | Some v -> v
-  | None -> (
-      match backing_find t ~ns:ns_float ~dec:dec_float key with
-      | Some v ->
-          store_generic t t.float_tbl key v;
-          v
-      | None ->
-          let v = compute () in
-          store_generic t t.float_tbl key v;
-          backing_add t ~ns:ns_float ~enc:enc_float key v;
-          v)
-
-let memo_factors t key compute =
-  match find_generic t t.factors_tbl key with
-  | Some v -> Array.copy v
-  | None -> (
-      match backing_find t ~ns:ns_factors ~dec:dec_factors key with
-      | Some v ->
-          store_generic t t.factors_tbl key (Array.copy v);
-          v
-      | None ->
-          let v = compute () in
-          store_generic t t.factors_tbl key (Array.copy v);
-          backing_add t ~ns:ns_factors ~enc:enc_factors key v;
-          v)
-
-let find_factors t key =
-  match find_generic t t.factors_tbl key with
-  | Some v -> Some (Array.copy v)
-  | None -> (
-      match backing_find t ~ns:ns_factors ~dec:dec_factors key with
-      | Some v ->
-          store_generic t t.factors_tbl key (Array.copy v);
-          Some v
-      | None -> None)
-
-let store_factors t key v =
-  store_generic t t.factors_tbl key (Array.copy v);
-  backing_add t ~ns:ns_factors ~enc:enc_factors key v
-
-(* Pass-level decision replays (e.g. the fusion pass's fused-pair
-   sequence), keyed on subtree digests.  Backing-tier only: each key is
-   probed once per compile, so an in-memory tier would never hit. *)
-let find_replay t key = backing_find t ~ns:ns_replay ~dec:Option.some key
-let store_replay t key v = backing_add t ~ns:ns_replay ~enc:Fun.id key v
-
-(* Whole-design estimates (the top of the three-tier signature
-   hierarchy: artifact > design/subtree > node).  Backing-tier only,
-   same reasoning as replays. *)
-
-let ns_design = "qor.design"
+  let rec go acc = function
+    | [] -> Some (List.rev acc)
+    | st :: rest -> (
+        match step st with Some x -> go (x :: acc) rest | None -> None)
+  in
+  if s = "" then Some [] else go [] (String.split_on_char ';' s)
 
 let enc_design (e : Qor.design_est) =
   let r = e.Qor.d_resource in
@@ -595,72 +157,44 @@ let enc_design (e : Qor.design_est) =
 
 let dec_design s =
   match String.split_on_char ';' s with
-  | [ lat; int_; macs; luts; ffs; dsps; bram; thr; eff ] -> (
-      try
-        Some
-          {
-            Qor.d_latency = int_of_string lat;
-            d_interval = int_of_string int_;
-            d_macs = int_of_string macs;
-            d_resource =
-              {
-                Resource.luts = int_of_string luts;
-                ffs = int_of_string ffs;
-                dsps = int_of_string dsps;
-                bram18 = int_of_string bram;
-              };
-            d_throughput = float_of_string thr;
-            d_dsp_efficiency = float_of_string eff;
-          }
-      with _ -> None)
+  | [ lat; interval; macs; luts; ffs; dsps; bram18; thr; eff ] -> (
+      match
+        ( ints [ lat; interval; macs; luts; ffs; dsps; bram18 ],
+          float_of_string_opt thr,
+          float_of_string_opt eff )
+      with
+      | Some [ lat; interval; macs; luts; ffs; dsps; bram18 ], Some thr, Some eff
+        ->
+          Some
+            {
+              Qor.d_latency = lat;
+              d_interval = interval;
+              d_macs = macs;
+              d_resource = { Resource.luts; ffs; dsps; bram18 };
+              d_throughput = thr;
+              d_dsp_efficiency = eff;
+            }
+      | _ -> None)
   | _ -> None
 
-let memo_design t key compute =
-  match backing_find t ~ns:ns_design ~dec:dec_design key with
-  | Some e -> e
-  | None ->
-      let e = compute () in
-      backing_add t ~ns:ns_design ~enc:enc_design key e;
-      e
+(* ---- Namespaces ---- *)
 
-let node_key t (dev : Device.t) ~bindings n =
-  dev.Device.name ^ "|" ^ signature t ~bindings n
+let node_memo store (dev : Device.t) ~bindings n compute =
+  memo store ~ns:ns_node ~enc:enc_node ~dec:dec_node
+    (dev.Device.name ^ "|" ^ signature ~bindings n)
+    compute
 
-let memo_node t dev ~bindings n compute =
-  let key = node_key t dev ~bindings n in
-  match find_generic t t.node_tbl key with
-  | Some e -> e
-  | None -> (
-      match backing_find t ~ns:ns_node ~dec:dec_node key with
-      | Some e ->
-          store_generic t t.node_tbl key e;
-          e
-      | None ->
-          let e = compute () in
-          store_generic t t.node_tbl key e;
-          backing_add t ~ns:ns_node ~enc:enc_node key e;
-          e)
+let find_factors ?(valid = fun _ -> true) store key =
+  let dec s = Option.bind (dec_factors s) (fun a -> if valid a then Some a else None) in
+  find store ~ns:ns_factors ~dec key
 
-let estimate_node t dev ?(bindings = []) n =
-  memo_node t dev ~bindings n (fun () ->
-      Qor.estimate_node_or_nested_fresh dev ~bindings n)
+let store_factors store key v =
+  Blob_store.add store ~ns:ns_factors ~key (enc_factors v)
 
-(* ---- Artifact-level signatures ----
+let find_fusion store key = find store ~ns:ns_replay ~dec:dec_steps key
 
-   The node-level machinery above keys *estimates* on structural
-   signatures; a compile server keys *whole-pipeline artifacts* the same
-   way, one level up: the content of the request (canonical source
-   string — an IR text hash or a zoo workload name) plus the canonical
-   option fingerprint.  A fixed-width digest keeps store keys and wire
-   messages small; MD5 (stdlib [Digest]) is ample for content
-   addressing — collisions would need 2^64 artifacts. *)
+let store_fusion store key steps =
+  Blob_store.add store ~ns:ns_replay ~key (enc_steps steps)
 
-let artifact_signature ~source ~options =
-  Digest.to_hex (Digest.string (source ^ "\x00" ^ options))
-
-(* ---- Hook wiring ---- *)
-
-let install t = Qor.node_memo_hook := memo_node t
-
-let uninstall () =
-  Qor.node_memo_hook := fun _dev ~bindings:_ _n compute -> compute ()
+let memo_design store key compute =
+  memo store ~ns:ns_design ~enc:enc_design ~dec:dec_design key compute

@@ -1,121 +1,29 @@
-(** Memoized QoR estimation layer.
+(** Store-backed QoR memoization: keys and codecs, no state.
 
-    Caches estimator results under {e content-addressed} keys — the
-    structural signature of a node (op tree, attributes/directives,
-    types, and the resolved descriptors of the outer buffers it
-    touches), plus the candidate unroll factors for DSE-time entries —
-    so a hit is always semantically valid.  The op-identity-keyed
-    signature memo is the only state that can go stale and must be
-    explicitly invalidated on IR mutation ({!invalidate_signatures});
-    the driver wires this to the pass manager and the parallelizer
-    calls it after applying unroll factors.
+    Every reusable QoR result lives in one {!Blob_store.t} that the
+    caller owns and passes explicitly ([hida_compile --incr-cache DIR]
+    loads one from disk, [hida-serve] creates one for its lifetime,
+    tests and benches create their own).  This module only derives the
+    content-addressed keys and encodes values for four namespaces:
 
-    Thread-safety: every operation is guarded by an internal mutex, so
-    one cache can be shared by the level-scheduled DSE worker domains.
+    - [qor.node]: per-node estimates, keyed by device + {!signature};
+    - [qor.factors]: per-node DSE results and schedule-level replays;
+    - [qor.replay]: fusion decision replays;
+    - [qor.design]: whole-design estimates.
 
-    Hit/miss totals are exposed via {!counters}; the driver and the
-    parallelizer publish the per-phase deltas as the
-    [qor.cache.hits]/[qor.cache.misses] metrics through [Hida_obs]. *)
+    Keys are content hashes, so a hit is always semantically valid and
+    a changed subtree simply misses.  Without a store nothing is
+    memoized.
+
+    Every lookup reports into the ambient {!Hida_obs.Scope}:
+    [incr.subtree.hits] / [incr.subtree.misses], plus
+    [incr.cache.corrupt] for a stored value that fails to decode (or
+    fails the caller's shape check).  A corrupt entry reads as a miss,
+    so the result is recomputed and the entry overwritten. *)
 
 open Hida_ir
 
-type t
-
-val create : unit -> t
-
-val global : unit -> t
-(** The process-wide cache used by the driver pipeline and the
-    parallelizer.  Benches call {!clear} on it to measure cold runs. *)
-
-val counters : t -> int * int
-(** [(hits, misses)] accumulated across all tables. *)
-
-type lock_stats = { lc_acquires : int; lc_blocked : int; lc_wait_ns : int }
-
-val contention : t -> lock_stats
-(** Totals for the table mutex: acquisitions, acquisitions that found it
-    held, and nanoseconds spent blocked waiting for it.  Summed from
-    per-domain records, so it is exact once worker domains have joined.
-    Reset by {!clear}. *)
-
-type domain_stats = {
-  ds_domain : int;
-  mutable ds_hits : int;
-  mutable ds_misses : int;
-  mutable ds_acquires : int;
-  mutable ds_blocked : int;
-  mutable ds_wait_ns : int;
-}
-
-val per_domain : t -> domain_stats list
-(** Per-domain breakdown of hits/misses and lock contention, sorted by
-    domain id (records of reused domain ids are merged).  Mutating the
-    returned records is a bug. *)
-
-val wait_histogram : t -> Hida_obs.Histogram.t
-(** Distribution of blocked-acquisition wait times (ns).  Reset by
-    {!clear}. *)
-
-val size : t -> int
-(** Number of cached values (node estimates + costs + DSE results). *)
-
-val default_entry_limit : int
-(** 262144 cached values. *)
-
-val set_entry_limit : t -> int -> unit
-(** Bound the value tables to [n] entries (immediately evicting down if
-    already over).  When a store pushes the count past the limit, the
-    least-recently-used quarter is dropped — one amortized sweep per
-    limit/4 insertions.  A bounded cache is what lets a persistent
-    process (the compile server) run indefinitely: content-addressed
-    keys never go stale, but mutated IR mints fresh signatures forever,
-    so an unbounded table is a slow leak. *)
-
-val entry_limit : t -> int
-
-val evictions : t -> int
-(** Entries evicted by the LRU sweeps since creation (or {!clear});
-    surfaced as the [qor.cache.evictions] metric by the driver. *)
-
-val invalidate_signatures : t -> unit
-(** Explicit invalidation on IR mutation: evicts every op-identity-keyed
-    signature memo entry (generation bump).  Content-addressed value
-    tables are unaffected — a mutated node signs differently and simply
-    misses. *)
-
-val clear : t -> unit
-(** Drop everything in-memory, including value tables and counters
-    (cold start).  An attached backing store ({!set_backing}) is the
-    cross-process tier and deliberately survives. *)
-
-val set_backing : t -> Blob_store.t option -> unit
-(** Attach (or detach, with [None]) a persistent blob store behind the
-    content-addressed tables.  With a store attached, an in-memory miss
-    probes the store and every store writes through, so DSE search
-    results, schedule replays, per-candidate costs and node estimates —
-    all keyed by canonical content hashes — are reused across compiles:
-    [hida_compile --incr-cache DIR] loads/saves a store around the run,
-    and the compile server attaches its shared artifact store.  Probes
-    happen at points deterministic in the input, so output IR stays
-    byte-identical to a from-scratch compile for every [--jobs]. *)
-
-val backing : t -> Blob_store.t option
-
-val subtree_counters : t -> int * int
-(** [(hits, misses)] of the persistent backing tier only (zero when no
-    store is attached).  The driver publishes per-compile deltas as the
-    [incr.subtree.hits]/[incr.subtree.misses] metrics.  Reset by
-    {!clear}. *)
-
-val reset_stats : t -> unit
-(** Zero the contention view only: detach every per-domain DLS counter
-    record (each domain — persistent pool workers included — mints a
-    fresh one on its next access) and reset the lock-wait histogram.
-    The memo tables and hit/miss totals are untouched, so a measurement
-    sweep can reset its contention buckets between runs without
-    discarding a deliberately warmed cache. *)
-
-val signature : t -> ?bindings:(Ir.value * Ir.value) list -> Ir.op -> string
+val signature : ?bindings:(Ir.value * Ir.value) list -> Ir.op -> string
 (** Structural signature of a subtree, as a fixed-width (32 hex chars)
     content digest of the canonical form: op names, sorted attributes
     (which carry every directive), result and block-argument types with
@@ -123,58 +31,36 @@ val signature : t -> ?bindings:(Ir.value * Ir.value) list -> Ir.op -> string
     through [bindings] (outer buffer type + defining-op attributes).
     Prefixed with the op names and attributes of every ancestor, because
     the estimator's trip counts and access footprints cross the region
-    boundary (a node nested in a loop re-runs per enclosing iteration).
-    Memoized per op identity until {!invalidate_signatures}. *)
-
-val memo_float : t -> string -> (unit -> float) -> float
-(** Generic float memo (per-candidate QoR cost: key = node signature +
-    connection context + candidate unroll factors). *)
-
-val memo_factors : t -> string -> (unit -> int array) -> int array
-(** Generic factor-tuple memo (whole per-node DSE results: key = dims +
-    constraints + parallel factor + engine + connection context).
-    Returns a copy; stored arrays are never aliased to callers. *)
-
-val find_factors : t -> string -> int array option
-(** Probe without computing (counts as a hit or a miss).  Used by the
-    parallelizer's schedule-level replay entries, which cannot be
-    expressed as a single [memo_factors] thunk. *)
-
-val store_factors : t -> string -> int array -> unit
-
-val find_replay : t -> string -> string option
-(** Backing-tier lookup of a pass-level decision replay (an encoded
-    sequence of deterministic rewrite steps keyed on a subtree digest).
-    Always [None] without an attached backing store; counts toward
-    {!subtree_counters}. *)
-
-val store_replay : t -> string -> string -> unit
-(** Write a decision replay through to the backing store (no-op without
-    one). *)
-
-val memo_design : t -> string -> (unit -> Qor.design_est) -> Qor.design_est
-(** Whole-design estimate memo through the backing store (the compute
-    always runs when no store is attached).  Callers key on
-    [{!signature} of the finished function] plus device and batch, so a
-    recompile of an unchanged design skips per-node estimation
-    entirely. *)
-
-val estimate_node :
-  t -> Device.t -> ?bindings:(Ir.value * Ir.value) list -> Ir.op -> Qor.node_est
-(** Memoized {!Qor.estimate_node_or_nested} (device name is part of the
-    key). *)
+    boundary (a node nested in a loop re-runs per enclosing
+    iteration). *)
 
 val artifact_signature : source:string -> options:string -> string
 (** Content-addressed key for a {e whole-pipeline artifact}: a
     fixed-width hex digest of the canonical request source (IR text
     hash, or zoo workload name) and the canonical driver-option
-    fingerprint.  This is the node-level signature idea lifted to
-    artifact granularity — the compile server's store is keyed on it
-    ([hida.serve]). *)
+    fingerprint.  The compile server's artifact namespace is keyed on
+    it ([hida.serve]). *)
 
-val install : t -> unit
-(** Route {!Qor.estimate_node_or_nested} through this cache (sets
-    {!Qor.node_memo_hook}). *)
+val node_memo : Blob_store.t -> Qor.node_memo
+(** Node-estimate memo over the [qor.node] namespace (the device name is
+    part of the key); pass it as [Qor.estimate_func ~memo]. *)
 
-val uninstall : unit -> unit
-(** Restore uncached estimation. *)
+val find_factors :
+  ?valid:(int array -> bool) -> Blob_store.t -> string -> int array option
+(** A DSE result or schedule-replay entry.  A stored tuple that fails
+    [valid] (default: accept any) is reported as corrupt and reads as a
+    miss. *)
+
+val store_factors : Blob_store.t -> string -> int array -> unit
+
+val find_fusion : Blob_store.t -> string -> (string * int * int) list option
+(** A fusion decision replay: the (kind, producer index, consumer index)
+    steps recorded for one dispatch, with [0 <= producer < consumer]. *)
+
+val store_fusion : Blob_store.t -> string -> (string * int * int) list -> unit
+
+val memo_design :
+  Blob_store.t -> string -> (unit -> Qor.design_est) -> Qor.design_est
+(** Whole-design estimate memo over the [qor.design] namespace.  Callers
+    key on the input digest plus device and batch, so a recompile of an
+    unchanged design skips per-node estimation entirely. *)

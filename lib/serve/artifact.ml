@@ -2,9 +2,10 @@
 
    The builder half maps a protocol request onto the driver pipeline
    and packages the result (canonical IR text + QoR metadata); the
-   store half is a namespace of the process-wide [Blob_store], so
-   whole-pipeline artifacts and the subtree-result tier behind
-   [Qor_cache] live under one byte budget with one LRU discipline.
+   store half is a namespace of the server's [Blob_store], which also
+   holds the QoR store's [qor.*] namespaces, so whole-pipeline
+   artifacts and subtree results live under one byte budget with one
+   LRU discipline.
 
    Keying lifts the estimator's node-level signature machinery to
    artifact granularity: node estimates are memoized on structural
@@ -133,12 +134,12 @@ let build_source src =
               in
               Ok ((if has_nn then `Nn else `Memref), f)))
 
-let compile src (o : Protocol.compile_opts) =
+let compile ?store src (o : Protocol.compile_opts) =
   let ( let* ) = Result.bind in
   let* opts = driver_options o in
   let* device = device_of o in
   let* path, func = build_source src in
-  match Driver.run ~opts ~device ~path func with
+  match Driver.run ~opts ?store ~device ~path func with
   | exception Invalid_argument msg -> Error msg
   | report ->
       let e = report.Driver.estimate in
@@ -161,9 +162,9 @@ let compile src (o : Protocol.compile_opts) =
 (* ---- Store ---- *)
 
 (* One namespace of the byte-budgeted LRU [Blob_store].  The server
-   uses the process-wide shared instance, so artifacts trade bytes
-   against the subtree-result tier instead of growing a second
-   unbounded table; unit tests create private instances. *)
+   hands the same instance to its compiles as their QoR store, so
+   artifacts trade bytes against subtree results instead of growing a
+   second unbounded table. *)
 
 let ns = "artifact"
 
@@ -183,10 +184,8 @@ let default_budget_bytes = Blob_store.default_budget_bytes
 let create_store ?(budget_bytes = default_budget_bytes) () =
   Blob_store.create ~budget_bytes ()
 
-let shared_store () = Blob_store.shared ()
 let find st k = Option.bind (Blob_store.find st ~ns k) decode
 let add st ~key:k art = Blob_store.add st ~ns ~key:k (encode art)
-let set_budget = Blob_store.set_budget
 
 let stats st =
   let s = Blob_store.stats st in
@@ -210,5 +209,3 @@ let stats st =
     s_budget = s.Blob_store.s_budget;
     s_evictions = s.Blob_store.s_evictions;
   }
-
-let clear = Blob_store.clear

@@ -11,8 +11,8 @@
 
     The store is a namespace of the byte-budgeted, LRU-evicting
     [Hida_estimator.Blob_store]: the server's worker domains share one
-    mutex-guarded instance, and that same instance backs the subtree
-    result tier behind [Qor_cache], so artifact bytes and subtree bytes
+    mutex-guarded instance, and the server hands that same instance to
+    every compile as its QoR store, so artifact bytes and subtree bytes
     compete under a single budget. *)
 
 type t = { a_meta : Protocol.artifact_meta; a_ir : string }
@@ -34,9 +34,12 @@ val key : Protocol.source -> Protocol.compile_opts -> string
 (* ---- Builder ---- *)
 
 val compile :
-  Protocol.source -> Protocol.compile_opts -> (t, string) result
-(** Run the full pipeline for a request and package the artifact.
-    Errors (unknown workload/device/mode, IR parse or verify failure)
+  ?store:Hida_estimator.Blob_store.t ->
+  Protocol.source ->
+  Protocol.compile_opts ->
+  (t, string) result
+(** Run the full pipeline for a request and package the artifact, with
+    [store] as the compile's QoR store ([Driver.run ?store]).  Errors (unknown workload/device/mode, IR parse or verify failure)
     come back as strings, never exceptions — a bad request must not
     kill a server worker. *)
 
@@ -44,18 +47,12 @@ val compile :
 
 type store = Hida_estimator.Blob_store.t
 (** Exposed as an equality so the server can hand the same instance to
-    [Qor_cache.set_backing] (the subtree tier) without a second
-    accessor on every layer. *)
+    {!compile} as the QoR store. *)
 
 val default_budget_bytes : int
 (** 256 MiB ([Blob_store.default_budget_bytes]). *)
 
 val create_store : ?budget_bytes:int -> unit -> store
-(** A private store (tests); the server uses {!shared_store}. *)
-
-val shared_store : unit -> store
-(** The process-wide [Blob_store.shared] instance — the one the
-    subtree-result tier behind [Qor_cache] should also back onto. *)
 
 val find : store -> string -> t option
 (** LRU-bumping lookup; counts a hit or a miss.  An entry that fails to
@@ -65,9 +62,6 @@ val add : store -> key:string -> t -> unit
 (** Insert; once the byte budget is exceeded the least-recently-used
     quarter of the *whole* store (all namespaces) is swept.  An
     artifact larger than the whole budget is not stored. *)
-
-val set_budget : store -> int -> unit
-(** Budget of the whole shared store; evicts immediately down to it. *)
 
 type stats = {
   s_entries : int;  (** artifact-namespace entries *)
@@ -79,7 +73,3 @@ type stats = {
 }
 
 val stats : store -> stats
-
-val clear : store -> unit
-(** Clears the whole underlying store — every namespace, including the
-    subtree tier sharing it. *)

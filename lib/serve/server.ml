@@ -73,7 +73,6 @@ let status_json st =
   let s = Artifact.stats st.store in
   let c name = Hida_obs.Metrics.counter st.metrics name in
   let lookups = s.Artifact.s_hits + s.Artifact.s_misses in
-  let qc = Qor_cache.global () in
   let queue =
     match st.pool with
     | None -> []
@@ -110,9 +109,9 @@ let status_json st =
             ("budget_bytes", Json.Int s.Artifact.s_budget);
           ] );
       ( "store",
-        (* The shared blob store under the artifact cache and the
-           subtree tier: whole-store totals plus one object per
-           namespace. *)
+        (* The server's one blob store, holding the artifact namespace
+           and the [qor.*] namespaces of the QoR store: whole-store
+           totals plus one object per namespace. *)
         let bs = Blob_store.stats st.store in
         Json.Obj
           [
@@ -133,16 +132,6 @@ let status_json st =
                            ("misses", Json.Int n.ns_misses);
                          ] ))
                    bs.Blob_store.s_namespaces) );
-          ] );
-      ( "qor_cache",
-        let sub_hits, sub_misses = Qor_cache.subtree_counters qc in
-        Json.Obj
-          [
-            ("entries", Json.Int (Qor_cache.size qc));
-            ("entry_limit", Json.Int (Qor_cache.entry_limit qc));
-            ("evictions", Json.Int (Qor_cache.evictions qc));
-            ("subtree_hits", Json.Int sub_hits);
-            ("subtree_misses", Json.Int sub_misses);
           ] );
       ("queue", Json.Obj queue);
       ( "latency",
@@ -186,7 +175,7 @@ let handle_compile st src opts =
       (* Leader compiles; identical concurrent requests attach here. *)
       let outcome =
         Scheduler.Single_flight.run st.flights key (fun () ->
-            Artifact.compile src opts)
+            Artifact.compile ~store:st.store src opts)
       in
       match outcome.Scheduler.Single_flight.value with
       | Error msg ->
@@ -287,8 +276,13 @@ let busy_reply fd =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let run cfg =
-  let store = Artifact.shared_store () in
-  Artifact.set_budget store cfg.cf_cache_bytes;
+  (* One store for the server's lifetime, shared by all workers: the
+     artifact namespace, plus the QoR store every compile is handed, so
+     subtree results (DSE plans, fusion replays, node estimates) persist
+     across requests and a request that edits one layer of a previously
+     compiled model re-optimizes only that layer.  Both trade bytes
+     under the one budget. *)
+  let store = Artifact.create_store ~budget_bytes:cfg.cf_cache_bytes () in
   let st =
     {
       cfg;
@@ -300,14 +294,6 @@ let run cfg =
       pool = None;
     }
   in
-  (* The QoR cache underneath the pipeline is shared by all workers and
-     must stay bounded in a persistent process.  Backing it with the
-     same blob store the artifact cache lives in makes subtree results
-     (DSE plans, candidate costs, node estimates) persist across
-     requests: a request that edits one layer of a previously compiled
-     model re-optimizes only that layer. *)
-  Qor_cache.install (Qor_cache.global ());
-  Qor_cache.set_backing (Qor_cache.global ()) (Some store);
   let listen_fd = claim_socket cfg.cf_socket in
   let pool =
     Scheduler.create_pool ~workers:cfg.cf_workers

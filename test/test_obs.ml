@@ -10,146 +10,14 @@ open Hida_frontend
 open Hida_obs
 open Helpers
 
-(* ---- a minimal JSON parser (no JSON library in the test deps),
-   enough to check the Chrome trace export is well-formed ---- *)
+(* ---- JSON checks (the serve layer's parser) ---- *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
+module Json = Hida_serve.Json
 
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %c" c)
-  in
-  let parse_lit lit v =
-    String.iter expect lit;
-    v
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'; advance (); loop ()
-          | Some 't' -> Buffer.add_char buf '\t'; advance (); loop ()
-          | Some 'r' -> Buffer.add_char buf '\r'; advance (); loop ()
-          | Some 'b' -> Buffer.add_char buf '\b'; advance (); loop ()
-          | Some 'f' -> Buffer.add_char buf '\012'; advance (); loop ()
-          | Some ('"' | '\\' | '/') ->
-              Buffer.add_char buf s.[!pos]; advance (); loop ()
-          | Some 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "short \\u escape";
-              let hex = String.sub s !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              Buffer.add_char buf (Char.chr (code land 0xff));
-              pos := !pos + 4;
-              loop ()
-          | _ -> fail "bad escape")
-      | Some c ->
-          if Char.code c < 0x20 then fail "raw control char in string";
-          Buffer.add_char buf c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    if !pos = start then fail "expected number";
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> J_num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then (advance (); J_obj [])
-        else
-          let rec members acc =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); members ((key, v) :: acc)
-            | Some '}' -> advance (); J_obj (List.rev ((key, v) :: acc))
-            | _ -> fail "expected , or }"
-          in
-          members []
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then (advance (); J_list [])
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance (); elements (v :: acc)
-            | Some ']' -> advance (); J_list (List.rev (v :: acc))
-            | _ -> fail "expected , or ]"
-          in
-          elements []
-    | Some '"' -> J_str (parse_string ())
-    | Some 't' -> parse_lit "true" (J_bool true)
-    | Some 'f' -> parse_lit "false" (J_bool false)
-    | Some 'n' -> parse_lit "null" J_null
-    | Some _ -> parse_number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let obj_field name = function
-  | J_obj fields -> List.assoc_opt name fields
-  | _ -> None
-
-let str_field name j =
-  match obj_field name j with Some (J_str s) -> Some s | _ -> None
+let parse_json = Json.parse_exn
+let obj_field = Json.member
+let str_field name j = Option.bind (Json.member name j) Json.to_str
+let num_field name j = Option.bind (Json.member name j) Json.to_float
 
 (* ---- tracer ---- *)
 
@@ -209,7 +77,7 @@ let test_chrome_json () =
   let json = parse_json (Trace.to_chrome_json t) in
   let events =
     match obj_field "traceEvents" json with
-    | Some (J_list evs) -> evs
+    | Some (Json.List evs) -> evs
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let ph ev = match str_field "ph" ev with Some p -> p | None -> "?" in
@@ -230,8 +98,8 @@ let test_chrome_json () =
   List.iter
     (fun ev ->
       checkb "X event has numeric ts and dur"
-        (match (obj_field "ts" ev, obj_field "dur" ev) with
-        | Some (J_num ts), Some (J_num dur) -> ts >= 0. && dur >= 0.
+        (match (num_field "ts" ev, num_field "dur" ev) with
+        | Some ts, Some dur -> ts >= 0. && dur >= 0.
         | _ -> false))
     xs
 
@@ -246,7 +114,7 @@ let test_write_chrome_file () =
   close_in ic;
   Sys.remove path;
   checkb "file parses as JSON"
-    (match parse_json contents with J_obj _ -> true | _ -> false);
+    (match parse_json contents with Json.Obj _ -> true | _ -> false);
   checkb "unwritable path raises Sys_error"
     (try
        Trace.write_chrome_file t "/nonexistent-dir/trace.json";
@@ -489,13 +357,13 @@ let test_histogram_percentiles () =
 (* ---- domain-safe tracing ---- *)
 
 let n_domains = 4
-let spans_per_domain = 50
+let spans_each_lane = 50
 
 let test_trace_multidomain () =
   let t = Trace.create () in
   Trace.with_span t "main-work" (fun () -> ());
   let worker d () =
-    for s = 0 to spans_per_domain - 1 do
+    for s = 0 to spans_each_lane - 1 do
       Trace.with_span t
         (Printf.sprintf "d%d-s%d" d s)
         (fun () -> if s mod 10 = 0 then Trace.instant t "tick")
@@ -515,7 +383,7 @@ let test_trace_multidomain () =
   List.iteri
     (fun i (lname, roots) ->
       if i = 0 then check Alcotest.string "first lane is main" "main" lname
-      else checki "worker lane has M roots" spans_per_domain (List.length roots))
+      else checki "worker lane has M roots" spans_each_lane (List.length roots))
     lanes;
   (* find crosses lanes *)
   checkb "find locates a worker span" (Trace.find t "d2-s17" <> None);
@@ -523,13 +391,13 @@ let test_trace_multidomain () =
   let json = parse_json (Trace.to_chrome_json t) in
   let events =
     match obj_field "traceEvents" json with
-    | Some (J_list evs) -> evs
+    | Some (Json.List evs) -> evs
     | _ -> Alcotest.fail "no traceEvents array"
   in
   let ph ev = match str_field "ph" ev with Some p -> p | None -> "?" in
   let xs = List.filter (fun ev -> ph ev = "X") events in
   checki "one X event per span across all lanes"
-    (1 + (n_domains * spans_per_domain))
+    (1 + (n_domains * spans_each_lane))
     (List.length xs);
   checki "one i event per instant" (n_domains * 5)
     (List.length (List.filter (fun ev -> ph ev = "i") events));
@@ -537,8 +405,8 @@ let test_trace_multidomain () =
     List.sort_uniq compare
       (List.filter_map
          (fun ev ->
-           match obj_field "tid" ev with
-           | Some (J_num n) when ph ev = "X" -> Some (int_of_float n)
+           match num_field "tid" ev with
+           | Some n when ph ev = "X" -> Some (int_of_float n)
            | _ -> None)
          events)
   in
@@ -573,14 +441,14 @@ let test_metrics_multidomain () =
       checki "concurrent observe loses nothing" (writers * reps)
         (Histogram.count h);
       checki "histogram max" 128 (Histogram.max_value h));
-  (* the JSON snapshot parses with the minimal parser *)
+  (* the JSON snapshot parses *)
   let j = parse_json (Metrics.to_json m) in
   checkb "to_json has counters/gauges/histograms"
     (obj_field "counters" j <> None
     && obj_field "gauges" j <> None
     && obj_field "histograms" j <> None);
   match obj_field "histograms" j with
-  | Some (J_obj [ ("shared.hist", J_obj fields) ]) ->
+  | Some (Json.Obj [ ("shared.hist", Json.Obj fields) ]) ->
       checkb "histogram json carries count and p99"
         (List.mem_assoc "count" fields && List.mem_assoc "p99" fields)
   | _ -> Alcotest.fail "histogram entry missing from json"
@@ -599,7 +467,7 @@ let test_leaked_span_flagged () =
   let json = parse_json (Trace.to_chrome_json t) in
   let events =
     match obj_field "traceEvents" json with
-    | Some (J_list evs) -> evs
+    | Some (Json.List evs) -> evs
     | _ -> []
   in
   checkb "leak instant exported"
@@ -622,58 +490,11 @@ let test_complete_span () =
           Alcotest.fail
             (Printf.sprintf "expected 1 child, got %d" (List.length l)))
 
-(* ---- qor-cache contention accounting ---- *)
-
-let test_qor_cache_contention () =
-  let open Hida_estimator in
-  let cache = Qor_cache.create () in
-  let reps = 500 in
-  let worker d () =
-    for i = 0 to reps - 1 do
-      (* half shared keys (hits after first compute), half private *)
-      let key =
-        if i mod 2 = 0 then Printf.sprintf "shared-%d" (i mod 10)
-        else Printf.sprintf "d%d-%d" d i
-      in
-      ignore (Qor_cache.memo_float cache key (fun () -> float_of_int i))
-    done
-  in
-  let domains = Array.init n_domains (fun d -> Domain.spawn (worker d)) in
-  worker (-1) ();
-  Array.iter Domain.join domains;
-  let writers = n_domains + 1 in
-  let hits, misses = Qor_cache.counters cache in
-  (* every memo_float does exactly one counted lookup *)
-  checki "lookups all accounted" (writers * reps) (hits + misses);
-  let per = Qor_cache.per_domain cache in
-  checkb "at least the spawned domains have records"
-    (List.length per >= 2);
-  checki "per-domain hits sum to the total" hits
-    (List.fold_left (fun a d -> a + d.Qor_cache.ds_hits) 0 per);
-  checki "per-domain misses sum to the total" misses
-    (List.fold_left (fun a d -> a + d.Qor_cache.ds_misses) 0 per);
-  let c = Qor_cache.contention cache in
-  checki "acquires sum over domains" c.Qor_cache.lc_acquires
-    (List.fold_left (fun a d -> a + d.Qor_cache.ds_acquires) 0 per);
-  checkb "blocked acquisitions never exceed acquisitions"
-    (c.Qor_cache.lc_blocked <= c.Qor_cache.lc_acquires);
-  checkb "wait histogram count matches blocked count"
-    (Histogram.count (Qor_cache.wait_histogram cache) = c.Qor_cache.lc_blocked);
-  (* a store and a lookup per miss, at minimum *)
-  checkb "acquires cover lookups"
-    (c.Qor_cache.lc_acquires >= writers * reps);
-  Qor_cache.clear cache;
-  let c0 = Qor_cache.contention cache in
-  checki "clear resets contention" 0 c0.Qor_cache.lc_acquires;
-  checki "clear resets the wait histogram" 0
-    (Histogram.count (Qor_cache.wait_histogram cache))
-
 (* ---- parallel profiled compile stays byte-identical ---- *)
 
 let test_profiled_parallel_compile_identical () =
   let open Hida_estimator in
   let compile ~jobs ~profile =
-    Qor_cache.clear (Qor_cache.global ());
     let _m, f = Polybench.k_3mm ~scale:0.1 () in
     let opts = { Driver.default with jobs; profile } in
     let rep = Driver.run_memref ~opts ~device:Device.zu3eg f in
@@ -683,8 +504,6 @@ let test_profiled_parallel_compile_identical () =
   let ir_par, rep = compile ~jobs:2 ~profile:true in
   check Alcotest.string "profiled parallel IR is byte-identical" ir_serial ir_par;
   let m = rep.Driver.metrics in
-  checkb "lock acquisitions recorded"
-    (Metrics.counter m "qor.cache.lock_acquires" > 0);
   checkb "candidate-eval histogram recorded"
     (match Metrics.histogram m "dse.candidate_eval_ns" with
     | Some h -> Histogram.count h > 0
@@ -738,8 +557,6 @@ let tests =
       test_leaked_span_flagged;
     Alcotest.test_case "complete records a retroactive span" `Quick
       test_complete_span;
-    Alcotest.test_case "qor-cache contention accounting is exact" `Quick
-      test_qor_cache_contention;
     Alcotest.test_case "profiled parallel compile is byte-identical" `Quick
       test_profiled_parallel_compile_identical;
   ]

@@ -1,8 +1,9 @@
-(* Tests for the memoized QoR estimation layer: content-addressed hits
-   must be indistinguishable from fresh estimation, the signature memo
-   must honour explicit invalidation, and the level-parallel DSE
-   (--jobs N) must produce byte-identical designs to the sequential
-   run on every bundled workload. *)
+(* Tests for the store-backed QoR memo: a store-served estimate must be
+   indistinguishable from a fresh one, lookups are counted per compile,
+   the store is an explicit value (no process-wide state), corrupt
+   entries are recomputed and reported, and the level-parallel DSE
+   (--jobs N) must produce byte-identical designs to the sequential run
+   on every bundled workload. *)
 
 open Hida_ir
 open Ir
@@ -16,51 +17,58 @@ let dev = Device.zu3eg
 
 (* ---- Memoized vs fresh estimates ---- *)
 
-(* Over random op trees, serving an estimate from the cache must return
-   exactly the fresh value — both on the populating (miss) call and on
-   the subsequent (hit) call. *)
+(* Over random op trees, serving an estimate through a store must return
+   exactly the fresh value, both on the populating (miss) call and on
+   the subsequent (hit) call, which is a single store hit. *)
 let prop_memoized_equals_fresh =
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~name:"memoized estimate equals fresh" ~count:100
        Test_text.gen_module (fun op ->
-         let fresh = Qor.estimate_node_or_nested_fresh dev ~bindings:[] op in
-         let cache = Qor_cache.create () in
-         let miss = Qor_cache.estimate_node cache dev op in
-         let hit = Qor_cache.estimate_node cache dev op in
-         let hits, misses = Qor_cache.counters cache in
-         fresh = miss && fresh = hit && hits = 1 && misses = 1))
+         let fresh = Qor.estimate_node_or_nested dev ~bindings:[] op in
+         let store = Blob_store.create () in
+         let memo = Qor_cache.node_memo store in
+         let miss = Qor.estimate_node_or_nested ~memo dev ~bindings:[] op in
+         let s0 = Blob_store.stats store in
+         let hit = Qor.estimate_node_or_nested ~memo dev ~bindings:[] op in
+         let s1 = Blob_store.stats store in
+         fresh = miss && fresh = hit
+         && s1.Blob_store.s_hits = s0.Blob_store.s_hits + 1
+         && s1.Blob_store.s_misses = s0.Blob_store.s_misses))
 
+(* Store lookups are reported into the ambient scope as
+   [incr.subtree.hits]/[incr.subtree.misses]; without a store nothing is
+   looked up or counted. *)
 let test_counters () =
   let _m, f = Polybench.k_2mm ~scale:0.05 () in
-  let cache = Qor_cache.create () in
   let nest = List.hd (Affine_d.outermost_loops f) in
-  ignore (Qor_cache.estimate_node cache dev nest);
-  let h0, m0 = Qor_cache.counters cache in
-  checki "first estimate misses" 0 h0;
-  checki "one miss recorded" 1 m0;
-  ignore (Qor_cache.estimate_node cache dev nest);
-  let h1, m1 = Qor_cache.counters cache in
-  checki "second estimate hits" 1 h1;
-  checki "no new miss" 1 m1;
-  checkb "cache holds one entry" (Qor_cache.size cache = 1);
-  Qor_cache.clear cache;
-  checki "clear empties the cache" 0 (Qor_cache.size cache)
+  let store = Blob_store.create () in
+  let scope = Hida_obs.Scope.create () in
+  let count name = Hida_obs.Metrics.counter (Hida_obs.Scope.metrics scope) name in
+  let estimate ?memo () =
+    Hida_obs.Scope.with_scope scope (fun () ->
+        ignore (Qor.estimate_node_or_nested ?memo dev ~bindings:[] nest))
+  in
+  estimate ~memo:(Qor_cache.node_memo store) ();
+  checki "first estimate misses" 0 (count "incr.subtree.hits");
+  checki "one miss recorded" 1 (count "incr.subtree.misses");
+  estimate ~memo:(Qor_cache.node_memo store) ();
+  checki "second estimate hits" 1 (count "incr.subtree.hits");
+  checki "no new miss" 1 (count "incr.subtree.misses");
+  checki "store holds one entry" 1 (Blob_store.stats store).Blob_store.s_entries;
+  estimate ();
+  checki "no store, no lookups" 2
+    (count "incr.subtree.hits" + count "incr.subtree.misses")
 
-(* The signature memo is keyed by op identity and only revalidated by
-   {!Qor_cache.invalidate_signatures}: a mutation without invalidation
-   serves the stale signature (this is exactly why the driver calls it
-   after every pass), and invalidation picks up the new attributes. *)
-let test_signature_invalidation () =
+(* Without a memo the signature is recomputed from the IR, so a
+   mutation is observed at once. *)
+let test_signature_observes_mutation () =
   let _m, f = Polybench.k_2mm ~scale:0.05 () in
-  let cache = Qor_cache.create () in
   let nest = List.hd (Affine_d.outermost_loops f) in
-  let s0 = Qor_cache.signature cache nest in
+  let s0 = Qor_cache.signature nest in
+  checkb "signature is deterministic" (String.equal s0 (Qor_cache.signature nest));
   Op.set_attr nest "upper" (A_int 123456);
-  let stale = Qor_cache.signature cache nest in
-  checkb "mutation without invalidation is stale" (String.equal s0 stale);
-  Qor_cache.invalidate_signatures cache;
-  let s1 = Qor_cache.signature cache nest in
-  checkb "invalidation observes the mutation" (not (String.equal s0 s1))
+  checkb "mutation changes the signature"
+    (not (String.equal s0 (Qor_cache.signature nest)))
 
 (* Two structurally identical nodes under different enclosing trip
    counts must sign differently: the estimator's trip counts cross the
@@ -80,9 +88,8 @@ let test_signature_captures_enclosing_trips () =
        loop's trip count differs. *)
     List.hd (Affine_d.outermost_loops (List.hd (Affine_d.outermost_loops f)))
   in
-  let cache = Qor_cache.create () in
-  let s2 = Qor_cache.signature cache (build 2) in
-  let s8 = Qor_cache.signature cache (build 8) in
+  let s2 = Qor_cache.signature (build 2) in
+  let s8 = Qor_cache.signature (build 8) in
   checkb "enclosing trip count is part of the signature"
     (not (String.equal s2 s8))
 
@@ -131,65 +138,89 @@ let test_jobs_determinism () =
         (String.equal (print_nn ~jobs:1 build) (print_nn ~jobs:4 build)))
     Models.all
 
-(* ---- Entry budget / LRU eviction ---- *)
+(* ---- The store is explicit ---- *)
 
-(* Long-running processes (the compile server) bound the cache with
-   [set_entry_limit]: crossing the limit drops the least-recently-used
-   quarter, recently touched entries survive, and the eviction counter
-   feeds the [qor.cache.evictions] metric. *)
-let test_entry_limit_eviction () =
-  let cache = Qor_cache.create () in
-  Qor_cache.set_entry_limit cache 16;
-  checki "limit readable" 16 (Qor_cache.entry_limit cache);
-  for i = 1 to 32 do
-    ignore
-      (Qor_cache.memo_float cache
-         (Printf.sprintf "k%d" i)
-         (fun () -> float_of_int i))
-  done;
-  checkb "size stays within the limit" (Qor_cache.size cache <= 16);
-  checkb "evictions counted" (Qor_cache.evictions cache > 0);
-  (* The most recently stored entry survives the sweep... *)
-  let h0, _ = Qor_cache.counters cache in
-  ignore (Qor_cache.memo_float cache "k32" (fun () -> nan));
-  let h1, _ = Qor_cache.counters cache in
-  checki "most-recent entry still hits" (h0 + 1) h1;
-  (* ...while the oldest was dropped and gets recomputed. *)
-  let v = Qor_cache.memo_float cache "k1" (fun () -> 123.) in
-  checkb "oldest entry was evicted (recomputed)" (v = 123.);
-  (* Shrinking the limit evicts immediately, and clear resets the
-     counter. *)
-  Qor_cache.set_entry_limit cache 4;
-  checkb "shrinking the limit evicts now" (Qor_cache.size cache <= 4);
-  Qor_cache.clear cache;
-  checki "clear resets the eviction counter" 0 (Qor_cache.evictions cache)
+let compile_resnet18 ?store () =
+  let _m, f = Models.resnet18 () in
+  let rep = Driver.run_nn ?store ~device:Device.vu9p_slr f in
+  (Printer.op_to_string rep.Driver.design, rep)
 
-(* A hit refreshes an entry's LRU stamp: entries kept hot across the
-   whole overflow survive where idle peers of the same age are swept. *)
-let test_eviction_is_lru () =
-  let cache = Qor_cache.create () in
-  Qor_cache.set_entry_limit cache 16;
-  ignore (Qor_cache.memo_float cache "hot" (fun () -> 7.));
-  for i = 1 to 64 do
-    ignore
-      (Qor_cache.memo_float cache
-         (Printf.sprintf "cold%d" i)
-         (fun () -> float_of_int i));
-    (* Touch the hot entry on every insertion. *)
-    ignore (Qor_cache.memo_float cache "hot" (fun () -> nan))
-  done;
-  let v = Qor_cache.memo_float cache "hot" (fun () -> nan) in
-  checkb "constantly-touched entry survives 4x overflow" (v = 7.)
+let subtree_hits rep = Hida_obs.Metrics.counter rep.Driver.metrics "incr.subtree.hits"
+
+(* One process, three compiles: with a store, with a fresh store, with
+   none.  Nothing leaks between them through process state — the second
+   and third compiles reuse nothing — and all three designs are
+   byte-identical. *)
+let test_store_is_explicit () =
+  let store = Blob_store.create () in
+  let ir1, _ = compile_resnet18 ~store () in
+  checkb "the first store was filled" ((Blob_store.stats store).Blob_store.s_entries > 0);
+  let ir2, rep2 = compile_resnet18 ~store:(Blob_store.create ()) () in
+  let ir3, rep3 = compile_resnet18 () in
+  checki "fresh store: no hits" 0 (subtree_hits rep2);
+  checki "no store: no hits" 0 (subtree_hits rep3);
+  checki "no store: no lookups" 0
+    (Hida_obs.Metrics.counter rep3.Driver.metrics "incr.subtree.misses");
+  Alcotest.(check string) "fresh store: identical IR" ir1 ir2;
+  Alcotest.(check string) "no store: identical IR" ir1 ir3
+
+(* ---- Corrupt store entries ---- *)
+
+(* Plant a bad value under every real key of the given namespaces — an
+   undecodable one, or a well-formed factor tuple of the wrong shape —
+   then recompile: the design must equal a store-less compile, the
+   damage must be counted and reported in a remark, and the recompile
+   must have overwritten the entries (a third compile sees none). *)
+let test_corrupt_entries_reported () =
+  let compile ?store () =
+    let _m, f = Models.resnet18 ~scale:0.05 () in
+    let rep = Driver.run_nn ?store ~device:Device.pynq_z2 f in
+    (Printer.op_to_string rep.Driver.design, rep)
+  in
+  let corrupt rep = Hida_obs.Metrics.counter rep.Driver.metrics "incr.cache.corrupt" in
+  let reference, _ = compile () in
+  List.iter
+    (fun (namespaces, bad) ->
+      let label = String.concat "+" namespaces ^ " <- " ^ String.escaped bad in
+      let store = Blob_store.create () in
+      ignore (compile ~store ());
+      List.iter
+        (fun ns ->
+          let keys = Blob_store.keys store ~ns in
+          checkb (ns ^ ": the compile stored entries") (keys <> []);
+          List.iter (fun key -> Blob_store.add store ~ns ~key bad) keys)
+        namespaces;
+      let ir, rep = compile ~store () in
+      Alcotest.(check string) (label ^ ": identical to a store-less compile") reference ir;
+      checkb (label ^ ": corrupt entries counted") (corrupt rep >= 1);
+      checkb (label ^ ": one corrupt-entry remark")
+        (List.length
+           (List.filter
+              (fun (r : Hida_obs.Remark.t) ->
+                r.Hida_obs.Remark.r_severity = Hida_obs.Remark.Analysis
+                && contains ~sub:"corrupt store entr" r.Hida_obs.Remark.r_msg)
+              rep.Driver.remarks)
+        = 1);
+      let _, rep3 = compile ~store () in
+      checki (label ^ ": entries were overwritten") 0 (corrupt rep3))
+    [
+      ([ "qor.node"; "qor.design" ], "\x00garbage;,");
+      ([ "qor.factors" ], "\x00garbage;,");
+      ([ "qor.factors" ], "1");
+      ([ "qor.replay" ], "\x00garbage;,");
+    ]
 
 let tests =
   [
     prop_memoized_equals_fresh;
     Alcotest.test_case "hit/miss counters" `Quick test_counters;
-    Alcotest.test_case "entry-limit eviction" `Quick test_entry_limit_eviction;
-    Alcotest.test_case "eviction is LRU" `Quick test_eviction_is_lru;
-    Alcotest.test_case "signature invalidation" `Quick test_signature_invalidation;
+    Alcotest.test_case "signature observes mutation" `Quick
+      test_signature_observes_mutation;
     Alcotest.test_case "signature captures enclosing trips" `Quick
       test_signature_captures_enclosing_trips;
+    Alcotest.test_case "store is explicit" `Quick test_store_is_explicit;
+    Alcotest.test_case "corrupt entries recomputed and reported" `Quick
+      test_corrupt_entries_reported;
     Alcotest.test_case "--jobs determinism on all workloads" `Quick
       test_jobs_determinism;
   ]

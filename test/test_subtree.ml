@@ -1,7 +1,7 @@
 (* Subtree structure sharing: canonical digests, isomorphic-block
    stamping (byte-identity with stamping on/off, SSA renaming round
-   trips through hida.text), the namespaced blob store, and the
-   persistent backing tier behind Qor_cache. *)
+   trips through hida.text), the namespaced blob store, and the QoR
+   store ([Qor_cache] over a blob store). *)
 
 open Hida_ir
 open Ir
@@ -62,7 +62,7 @@ let test_zoo_has_isomorphic_tasks () =
 
 (* ---- stamping ---- *)
 
-let compile_print ~stamp build =
+let compile_print ?store ~stamp build =
   let _m, f = build () in
   let opts =
     {
@@ -72,7 +72,7 @@ let compile_print ~stamp build =
       verify_each = true;
     }
   in
-  let st = Driver.compile_nn ~opts f in
+  let st = Driver.compile_nn ~opts ?store f in
   let rep = Driver.finish ~device:Device.pynq_z2 st f in
   (Printer.op_to_string f, rep)
 
@@ -223,80 +223,65 @@ let test_blob_store_persistence () =
   | Ok _ -> Alcotest.fail "corrupt file should be an error"
   | Error _ -> ())
 
-(* ---- the persistent backing tier behind Qor_cache ---- *)
+(* ---- the QoR store ---- *)
 
+(* Two compiles sharing one store (the cross-process shape of
+   [--incr-cache]): a node estimate computed by the first is served to
+   the second without recomputation, and DSE factor tuples round-trip
+   through the store codec. *)
 let test_qor_cache_backing () =
-  let store = Blob_store.shared () in
-  let key = "test-backing#" ^ string_of_int (Hashtbl.hash (Sys.time ())) in
-  let c1 = Qor_cache.create () in
-  Qor_cache.set_backing c1 (Some store);
+  let _m, f = Polybench.k_2mm ~scale:0.05 () in
+  let nest = List.hd (Hida_dialects.Affine_d.outermost_loops f) in
+  let store = Blob_store.create () in
+  let dev = Device.zu3eg in
+  let fresh = Qor.estimate_node dev nest in
   let computed = ref 0 in
   let v1 =
-    Qor_cache.memo_float c1 key (fun () ->
+    Qor_cache.node_memo store dev ~bindings:[] nest (fun () ->
         incr computed;
-        0.125)
+        fresh)
   in
-  checkb "computed once" (!computed = 1 && v1 = 0.125);
-  (* A different cache instance sharing the store — the cross-process
-     shape of [--incr-cache] — must be served without recomputation. *)
-  let c2 = Qor_cache.create () in
-  Qor_cache.set_backing c2 (Some store);
-  let v2 = Qor_cache.memo_float c2 key (fun () -> Alcotest.fail "recomputed") in
-  checkb "served from backing" (v2 = 0.125);
-  let hits, misses = Qor_cache.subtree_counters c2 in
-  checki "backing hit counted" 1 hits;
-  checki "no backing misses on c2" 0 misses;
-  (* DSE factor tuples round-trip through the store codec, including
-     probe-style lookups ([find_factors], the schedule-replay path). *)
-  let fkey = key ^ "#factors" in
-  Qor_cache.store_factors c1 fkey [| 2; 4; 8 |];
-  (match Qor_cache.find_factors c2 fkey with
+  checkb "computed once" (!computed = 1 && v1 = fresh);
+  let scope = Hida_obs.Scope.create () in
+  let v2 =
+    Hida_obs.Scope.with_scope scope (fun () ->
+        Qor_cache.node_memo store dev ~bindings:[] nest (fun () ->
+            Alcotest.fail "recomputed"))
+  in
+  checkb "served from the store" (v2 = fresh);
+  let count = Hida_obs.Metrics.counter (Hida_obs.Scope.metrics scope) in
+  checki "store hit counted" 1 (count "incr.subtree.hits");
+  checki "no store misses" 0 (count "incr.subtree.misses");
+  Qor_cache.store_factors store "dse#test" [| 2; 4; 8 |];
+  (match Qor_cache.find_factors store "dse#test" with
   | Some f -> checkb "factors round-trip" (f = [| 2; 4; 8 |])
-  | None -> Alcotest.fail "factors not served from backing");
-  (* [clear] keeps the backing tier. *)
-  Qor_cache.clear c2;
-  let v3 = Qor_cache.memo_float c2 key (fun () -> Alcotest.fail "recomputed") in
-  checkb "backing survives clear" (v3 = 0.125);
-  Qor_cache.set_backing c1 None;
-  Qor_cache.set_backing c2 None
+  | None -> Alcotest.fail "factors not served from the store");
+  checkb "shape check rejects a wrong tuple"
+    (Qor_cache.find_factors store "dse#test" ~valid:(fun f -> Array.length f = 2)
+    = None)
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-(* An end-to-end incremental recompile in-process: compile, then clear
-   the in-memory cache (simulating a new process) and recompile with
-   the same backing store — the driver must report subtree hits and the
-   output must be byte-identical. *)
+(* An end-to-end incremental recompile in-process: compile twice with
+   the same store — the driver must report subtree hits and the output
+   must be byte-identical. *)
 let test_incremental_recompile_reuses () =
   let store = Blob_store.create () in
-  let g = Qor_cache.global () in
-  Qor_cache.set_backing g (Some store);
-  Fun.protect
-    ~finally:(fun () ->
-      Qor_cache.set_backing g None;
-      Qor_cache.clear g)
-    (fun () ->
-      Qor_cache.clear g;
-      let s1, _rep1 =
-        compile_print ~stamp:true (fun () -> Models.resnet18 ~scale:0.05 ())
-      in
-      Qor_cache.clear g;
-      let s2, rep2 =
-        compile_print ~stamp:true (fun () -> Models.resnet18 ~scale:0.05 ())
-      in
-      Alcotest.(check string) "incremental output byte-identical" s1 s2;
-      let hits =
-        Hida_obs.Metrics.counter rep2.Driver.metrics "incr.subtree.hits"
-      in
-      checkb "subtree hits reported on recompile" (hits > 0);
-      checkb "reuse remark emitted"
-        (List.exists
-           (fun (r : Hida_obs.Remark.t) ->
-             r.Hida_obs.Remark.r_severity = Hida_obs.Remark.Analysis
-             && contains_sub ~sub:"incremental reuse" r.Hida_obs.Remark.r_msg)
-           rep2.Driver.remarks))
+  let build () = Models.resnet18 ~scale:0.05 () in
+  let s1, _rep1 = compile_print ~store ~stamp:true build in
+  let s2, rep2 = compile_print ~store ~stamp:true build in
+  Alcotest.(check string) "incremental output byte-identical" s1 s2;
+  let hits = Hida_obs.Metrics.counter rep2.Driver.metrics "incr.subtree.hits" in
+  checkb "subtree hits reported on recompile" (hits > 0);
+  checkb "reuse remark emitted"
+    (List.exists
+       (fun (r : Hida_obs.Remark.t) ->
+         r.Hida_obs.Remark.r_severity = Hida_obs.Remark.Analysis
+         && contains_sub ~sub:"incremental reuse" r.Hida_obs.Remark.r_msg)
+       rep2.Driver.remarks)
 
 let tests =
   [
